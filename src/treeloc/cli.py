@@ -7,16 +7,16 @@ Exit codes: 0 success, 2 parse or I/O error, 3 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
 
 from .errors import ConfigError, PreconditionError, TreeParseError
 from .experiments import (ExperimentRecord, GenSpec, allocation_report,
-                          emit_csv, gen_random_tree, lambda_sweep,
-                          pareto_front)
-from .maxian import solve_balanced_2maxian_cubic, solve_balanced_2maxian_linear
-from .median import solve_balanced_2median
+                          check_method, check_problem, emit_csv,
+                          gen_random_tree, lambda_sweep, make_record,
+                          pareto_front, sweep_solutions)
 from .objectives import SolverConfig
 from .oracle import DEFAULT_CAP, brute_2maxian, brute_2median
 from .tree import _fmt, parse_tree, render_tree
@@ -58,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     io_flags(p)
 
     p = sub.add_parser("pareto", help="nondominated (transport, f5) points")
-    p.add_argument("problem", help="median or maxian")
+    p.add_argument("problem", help="median or maxian (the maxian front comes "
+                   "from the linear heuristic)")
     p.add_argument("--grid", type=int, default=11,
                    help="number of lambda grid points")
     io_flags(p)
@@ -81,16 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _check_problem(problem: str):
-    if problem not in ("median", "maxian"):
-        raise ConfigError(f"unknown problem {problem!r}; expected median or maxian")
-
-
-def _check_method(method: str):
-    if method not in ("linear", "cubic"):
-        raise ConfigError(f"unknown method {method!r}; expected linear or cubic")
-
-
 def _check_format(fmt: str):
     if fmt not in ("json", "csv", "text"):
         raise ConfigError(f"unknown format {fmt!r}; expected json, csv, or text")
@@ -99,26 +90,6 @@ def _check_format(fmt: str):
 def _load_tree(path: str):
     with open(path, encoding="utf-8") as fh:
         return parse_tree(fh.read())
-
-
-def _solve_once(problem: str, method: str, cfg: SolverConfig, tree):
-    t0 = time.perf_counter()
-    if problem == "median":
-        sol = solve_balanced_2median(cfg, tree)
-    elif method == "cubic":
-        sol = solve_balanced_2maxian_cubic(cfg, tree)
-    else:
-        sol = solve_balanced_2maxian_linear(cfg, tree)
-    ms = (time.perf_counter() - t0) * 1e3
-    if problem == "median":
-        rec = ExperimentRecord(0, tree.n, 0, "median", "edge-deletion", cfg.lam,
-                               sol.f1, sol.f5, sol.objective, sol.edge_uv,
-                               sol.medians, ms)
-    else:
-        rec = ExperimentRecord(0, tree.n, 0, "maxian", sol.method, cfg.lam,
-                               sol.f2, sol.f5, sol.objective, sol.edge_uv,
-                               sol.facilities, ms)
-    return rec, sol
 
 
 def _record_dict(r: ExperimentRecord) -> dict:
@@ -130,6 +101,12 @@ def _record_dict(r: ExperimentRecord) -> dict:
         "fac1": r.facilities[0], "fac2": r.facilities[1],
         "runtime_ms": r.runtime_ms,
     }
+
+
+def _records_csv(records: list[ExperimentRecord]) -> str:
+    buf = io.StringIO()
+    emit_csv(records, buf)
+    return buf.getvalue()
 
 
 def _summary(rec: ExperimentRecord) -> str:
@@ -152,18 +129,17 @@ def _write_text(path: str, text: str):
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _write_records(args, records: list[ExperimentRecord], text: str):
-    if not args.output:
-        return
-    if args.format == "csv":
-        emit_csv(records, args.output)
-    elif args.format == "json":
-        payload = [_record_dict(r) for r in records]
-        _write_text(args.output,
-                    json.dumps(payload[0] if len(payload) == 1 else payload,
-                               indent=2))
-    else:
-        _write_text(args.output, text)
+def _emit(args, text: str, payload, csv_text: str) -> int:
+    """Print the text; with --output, also write the chosen format there."""
+    print(text)
+    if args.output:
+        _write_text(args.output, {"text": text, "csv": csv_text,
+                                  "json": json.dumps(payload, indent=2)}[args.format])
+    return 0
+
+
+def _emit_record(args, rec: ExperimentRecord) -> int:
+    return _emit(args, _summary(rec), _record_dict(rec), _records_csv([rec]))
 
 
 def _parse_lambdas(text: str) -> list[float]:
@@ -181,46 +157,37 @@ def _parse_lambdas(text: str) -> list[float]:
     return vals
 
 
-def _cmd_solve(args, problem: str) -> int:
+def _solve_once(args, problem: str):
+    """(tree, record, solution) of one lambda; everything is checked
+    before the input is read."""
     _check_format(args.format)
     method = getattr(args, "method", "linear")
-    _check_method(method)
-    cfg = SolverConfig(args.lam)
+    check_method(method)
+    lam = SolverConfig(args.lam).lam
     tree = _load_tree(args.input)
-    rec, _ = _solve_once(problem, method, cfg, tree)
-    text = _summary(rec)
-    print(text)
-    _write_records(args, [rec], text)
-    return 0
+    return tree, *sweep_solutions(tree, problem, [lam], method)[0]
+
+
+def _cmd_solve(args, problem: str) -> int:
+    _, rec, _ = _solve_once(args, problem)
+    return _emit_record(args, rec)
 
 
 def _cmd_oracle(args) -> int:
-    _check_problem(args.problem)
+    check_problem(args.problem)
     _check_format(args.format)
     cfg = SolverConfig(args.lam)
     tree = _load_tree(args.input)
+    brute = brute_2median if args.problem == "median" else brute_2maxian
     t0 = time.perf_counter()
-    if args.problem == "median":
-        sol = brute_2median(cfg, tree, cap=args.cap)
-        facilities = sol.medians
-        transport = sol.f1
-    else:
-        sol = brute_2maxian(cfg, tree, cap=args.cap)
-        facilities = sol.facilities
-        transport = sol.f2
+    sol = brute(cfg, tree, cap=args.cap)
     ms = (time.perf_counter() - t0) * 1e3
-    rec = ExperimentRecord(0, tree.n, 0, args.problem, "brute", cfg.lam,
-                           transport, sol.f5, sol.objective, sol.edge_uv,
-                           facilities, ms)
-    text = _summary(rec)
-    print(text)
-    _write_records(args, [rec], text)
-    return 0
+    return _emit_record(args, make_record(sol, cfg.lam, tree.n, ms, "brute"))
 
 
 def _cmd_sweep(args) -> int:
-    _check_problem(args.problem)
-    _check_method(args.method)
+    check_problem(args.problem)
+    check_method(args.method)
     _check_format(args.format)
     lambdas = _parse_lambdas(args.lambdas)
     tree = _load_tree(args.input)
@@ -232,33 +199,25 @@ def _cmd_sweep(args) -> int:
             f"transport {_fmt(r.transport)} f5 {_fmt(r.f5)} "
             f"edge ({r.edge_uv[0]},{r.edge_uv[1]}) "
             f"facilities ({r.facilities[0]},{r.facilities[1]})")
-    text = "\n".join(lines)
-    print(text)
-    _write_records(args, records, text)
-    return 0
+    payload = [_record_dict(r) for r in records]
+    return _emit(args, "\n".join(lines),
+                 payload[0] if len(payload) == 1 else payload,
+                 _records_csv(records))
 
 
 def _cmd_pareto(args) -> int:
-    _check_problem(args.problem)
+    check_problem(args.problem)
     _check_format(args.format)
     tree = _load_tree(args.input)
     pts = pareto_front(tree, args.problem, args.grid)
     lines = [f"problem {args.problem} grid {args.grid} points {len(pts)}"]
     for tc, f5 in pts:
         lines.append(f"transport {_fmt(tc)} f5 {_fmt(f5)}")
-    text = "\n".join(lines)
-    print(text)
-    if args.output:
-        if args.format == "csv":
-            rows = ["transport,f5"] + [f"{_fmt(a)},{_fmt(b)}" for a, b in pts]
-            _write_text(args.output, "\n".join(rows))
-        elif args.format == "json":
-            _write_text(args.output, json.dumps(
-                {"problem": args.problem, "grid": args.grid,
-                 "points": [[float(a), float(b)] for a, b in pts]}, indent=2))
-        else:
-            _write_text(args.output, text)
-    return 0
+    rows = ["transport,f5"] + [f"{_fmt(a)},{_fmt(b)}" for a, b in pts]
+    return _emit(args, "\n".join(lines),
+                 {"problem": args.problem, "grid": args.grid,
+                  "points": [[float(a), float(b)] for a, b in pts]},
+                 "\n".join(rows))
 
 
 def _cmd_gen(args) -> int:
@@ -275,27 +234,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _check_problem(args.problem)
-    _check_method(args.method)
-    _check_format(args.format)
-    cfg = SolverConfig(args.lam)
-    tree = _load_tree(args.input)
-    rec, sol = _solve_once(args.problem, args.method, cfg, tree)
+    check_problem(args.problem)
+    tree, rec, sol = _solve_once(args, args.problem)
     dev = allocation_report(sol, tree)
-    text = _summary(rec) + f"\ndeviations {dev}"
-    print(text)
-    if args.output:
-        if args.format == "json":
-            _write_text(args.output,
-                        json.dumps({**_record_dict(rec), "deviations": dev},
-                                   indent=2))
-        elif args.format == "csv":
-            _write_text(args.output,
-                        "problem,method,lambda,deviations\n"
-                        f"{rec.problem},{rec.method},{_fmt(rec.lam)},{dev}")
-        else:
-            _write_text(args.output, text)
-    return 0
+    return _emit(args, _summary(rec) + f"\ndeviations {dev}",
+                 {**_record_dict(rec), "deviations": dev},
+                 "problem,method,lambda,deviations\n"
+                 f"{rec.problem},{rec.method},{_fmt(rec.lam)},{dev}")
 
 
 def run(argv: list[str] | None = None) -> int:

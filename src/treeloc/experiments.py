@@ -9,10 +9,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .maxian import (MaxianSolution, solve_balanced_2maxian_cubic,
-                     solve_balanced_2maxian_linear)
-from .median import MedianSolution, solve_balanced_2median
-from .objectives import SolverConfig
+from .maxian import (MaxianSolution, cubic_cut_table, linear_cut_table,
+                     maxian_solution)
+from .median import MedianSolution, median_cut_table, median_solution
+from .objectives import TOLERANCE, SolverConfig, objective
 from .tree import WeightedTree, _fmt, _sweep, split_by_edge
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -125,76 +125,99 @@ class ExperimentRecord:
     runtime_ms: float
 
     def __post_init__(self):
-        if self.problem == "median":
-            expect = self.lam * self.transport + (1.0 - self.lam) * self.f5
-        elif self.problem == "maxian":
-            expect = self.lam * self.transport - (1.0 - self.lam) * self.f5
-        else:
-            raise ConfigError(f"unknown problem {self.problem!r}")
-        if abs(expect - self.objective) > 1e-9 * (1.0 + abs(self.objective)):
+        check_problem(self.problem)
+        expect = objective(self.lam, self.transport, self.f5, self.problem)
+        if abs(expect - self.objective) > TOLERANCE * (1.0 + abs(self.objective)):
             raise PreconditionError(
                 f"record objective {self.objective} inconsistent with its "
                 f"components ({expect} expected)")
 
 
-def _solve(problem: str, method: str, cfg: SolverConfig, tree: WeightedTree):
-    if problem == "median":
-        return solve_balanced_2median(cfg, tree)
-    if method == "cubic":
-        return solve_balanced_2maxian_cubic(cfg, tree)
-    return solve_balanced_2maxian_linear(cfg, tree)
+def make_record(sol: MedianSolution | MaxianSolution, lam: float, n: int,
+                runtime_ms: float, method: str | None = None,
+                test_id: int = 0, seed: int = 0) -> ExperimentRecord:
+    """The record of one solution; method defaults to the one that produced
+    it (edge-deletion for the median)."""
+    median = isinstance(sol, MedianSolution)
+    return ExperimentRecord(
+        test_id, n, seed, "median" if median else "maxian",
+        method or ("edge-deletion" if median else sol.method), lam,
+        sol.f1 if median else sol.f2, sol.f5, sol.objective, sol.edge_uv,
+        sol.medians if median else sol.facilities, runtime_ms)
+
+
+def check_problem(problem: str):
+    if problem not in ("median", "maxian"):
+        raise ConfigError(f"unknown problem {problem!r}; expected median or maxian")
+
+
+def check_method(method: str):
+    if method not in ("linear", "cubic"):
+        raise ConfigError(f"unknown method {method!r}; expected linear or cubic")
+
+
+# (problem, method) -> (builder of the lambda-independent cut table, best cut
+# of such a table as a solution); the median has one method under both names
+SOLVERS = {
+    ("median", "linear"): (median_cut_table, median_solution),
+    ("median", "cubic"): (median_cut_table, median_solution),
+    ("maxian", "linear"): (linear_cut_table, maxian_solution),
+    ("maxian", "cubic"): (cubic_cut_table, maxian_solution),
+}
+
+
+def sweep_solutions(tree: WeightedTree, problem: str, lambdas: Iterable[float],
+                    method: str = "linear", test_id: int = 0, seed: int = 0
+                    ) -> list[tuple[ExperimentRecord, MedianSolution | MaxianSolution]]:
+    """(record, solution) per lambda, all picked from one cut table.
+
+    The problem, the method and every lambda are checked before any work.
+    Each record's runtime_ms is the time to pick its lambda's cut; the
+    first record's also includes building the table."""
+    check_problem(problem)
+    check_method(method)
+    cfgs = [SolverConfig(float(lam)) for lam in lambdas]
+    if not cfgs:
+        return []
+    build, pick = SOLVERS[problem, method]
+    out = []
+    t0 = time.perf_counter()
+    table = build(tree)
+    for cfg in cfgs:
+        sol = pick(table, cfg.lam, tree)
+        ms = (time.perf_counter() - t0) * 1e3
+        out.append((make_record(sol, cfg.lam, tree.n, ms, test_id=test_id,
+                                seed=seed), sol))
+        t0 = time.perf_counter()
+    return out
 
 
 def lambda_sweep(tree: WeightedTree, problem: str, lambdas: Iterable[float],
                  method: str = "linear", test_id: int = 0,
                  seed: int = 0) -> list[ExperimentRecord]:
     """One record per lambda value, using the fast solver for the problem
-    (the linear method for maxian unless method="cubic" is asked for)."""
-    if problem not in ("median", "maxian"):
-        raise ConfigError(f"unknown problem {problem!r}")
-    if method not in ("linear", "cubic"):
-        raise ConfigError(f"unknown method {method!r}")
-    records = []
-    for lam in lambdas:
-        cfg = SolverConfig(float(lam))
-        t0 = time.perf_counter()
-        sol = _solve(problem, method, cfg, tree)
-        ms = (time.perf_counter() - t0) * 1e3
-        if isinstance(sol, MedianSolution):
-            records.append(ExperimentRecord(
-                test_id, tree.n, seed, problem, "edge-deletion", cfg.lam,
-                sol.f1, sol.f5, sol.objective, sol.edge_uv, sol.medians, ms))
-        else:
-            records.append(ExperimentRecord(
-                test_id, tree.n, seed, problem, sol.method, cfg.lam,
-                sol.f2, sol.f5, sol.objective, sol.edge_uv, sol.facilities, ms))
-    return records
+    (the linear method for maxian unless method="cubic" is asked for).
+    The cut table is built once for the whole sweep."""
+    return [rec for rec, _ in sweep_solutions(tree, problem, lambdas, method,
+                                              test_id, seed)]
 
 
 def pareto_front(tree: WeightedTree, problem: str,
                  grid_size: int) -> list[tuple[float, float]]:
     """Nondominated (transport, f5) pairs found by sweeping lambda over a
     uniform grid; sorted by transport.  Median minimizes both coordinates;
-    maxian maximizes transport and minimizes f5."""
+    maxian maximizes transport and minimizes f5.  The maxian front comes
+    from the linear diameter-endpoint heuristic, so it is heuristic too."""
     if grid_size < 2:
         raise ConfigError("grid_size must be at least 2")
-    points = set()
-    for k in range(grid_size):
-        cfg = SolverConfig(k / (grid_size - 1))
-        sol = _solve(problem, "linear", cfg, tree)
-        transport = sol.f1 if isinstance(sol, MedianSolution) else sol.f2
-        points.add((transport, sol.f5))
-    if problem == "median":
-        def dominates(a, b):
-            return a[0] <= b[0] and a[1] <= b[1] and a != b
-    elif problem == "maxian":
-        def dominates(a, b):
-            return a[0] >= b[0] and a[1] <= b[1] and a != b
-    else:
-        raise ConfigError(f"unknown problem {problem!r}")
-    front = [p for p in points
-             if not any(dominates(q, p) for q in points if q != p)]
-    return sorted(front)
+    lambdas = [k / (grid_size - 1) for k in range(grid_size)]
+    points = {(r.transport, r.f5) for r in lambda_sweep(tree, problem, lambdas)}
+
+    def dominates(a, b):
+        better = a[0] <= b[0] if problem == "median" else a[0] >= b[0]
+        return better and a[1] <= b[1] and a != b
+
+    return sorted(p for p in points if not any(dominates(q, p) for q in points))
 
 
 def allocation_report(solution: MedianSolution | MaxianSolution,

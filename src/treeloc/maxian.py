@@ -1,9 +1,9 @@
 """Balanced 2-maxian solvers.
 
-Two routes: a cubic-semantics reference that scores every edge deletion
-against every ordered facility pair under masked weights, and a linear
-method that fixes facilities at the diameter endpoints and sweeps the
-deletions along the diameter path with an incremental recurrence.
+Two cut tables: a cubic-semantics reference that scores every edge
+deletion against every ordered facility pair under masked weights, and a
+linear method that fixes facilities at the diameter endpoints and scores
+the deletions along the diameter path from prefix sums.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .objectives import SolverConfig
+from .objectives import TOLERANCE, CutTable, SolverConfig, objective
 from .tree import (CompressedPath, Sweep, WeightedTree, _sweep,
                    compress_onto_path, diameter, split_by_edge)
 
@@ -88,132 +88,111 @@ def _best_pair(A: np.ndarray, B: np.ndarray) -> tuple[int, int, float]:
     return (q, b2, v1) if (q, b2) < (a2, q) else (a2, q, v2)
 
 
-def solve_balanced_2maxian_cubic(cfg: SolverConfig, tree: WeightedTree) -> MaxianSolution:
-    """Reference method: for every edge deletion, score every ordered
-    facility pair (x1 anywhere, serving the larger-endpoint side through
-    masked weights; x2 serving the other side) and keep the maximizer.
-    Ties go to the smallest edge index, then the smallest facility pair.
-    """
+def _needs_two_vertices(tree: WeightedTree):
     if tree.n < 2:
         raise PreconditionError("balanced 2-maxian needs at least 2 vertices")
-    lam = cfg.lam
+
+
+def cubic_cut_table(tree: WeightedTree) -> CutTable:
+    """Reference method: for every edge deletion, score every ordered
+    facility pair (x1 anywhere, serving the larger-endpoint side through
+    masked weights; x2 serving the other side) and keep the best pair, the
+    smallest one among ties."""
+    _needs_two_vertices(tree)
     s0 = _sweep(tree, np.array([0], dtype=np.int64))
-    best = None
+    rows = []
     for e in range(tree.n - 1):
         bip = split_by_edge(tree, e)
         in_a = bip._in_a
         A = _dist_sums(tree, np.where(in_a, 0.0, tree.w), s0)
         B = _dist_sums(tree, np.where(in_a, tree.w, 0.0), s0)
-        f5 = abs(bip.z_a - bip.z_b)
         x1, x2, f2 = _best_pair(A, B)
-        obj = lam * f2 - (1.0 - lam) * f5
-        if best is None or obj > best[0]:
-            best = (obj, e, x1 + 1, x2 + 1, f2, f5)
-    obj, e, x1, x2, f2, f5 = best
-    return MaxianSolution(e, tree.edge_tuple(e), (x1, x2), f2, f5, obj, "cubic")
+        rows.append((f2, abs(bip.z_a - bip.z_b), x1 + 1, x2 + 1))
+    return CutTable.per_edge(rows, "cubic")
+
+
+def _path_terms(cp: CompressedPath) -> tuple[np.ndarray, np.ndarray]:
+    """Transport and f5 of every path-edge deletion, in path order, with
+    facilities fixed at the path endpoints (each endpoint serves the far
+    side).  Cutting after position j0 serves the prefix from the far end,
+    sum_{i<=j0} w_hat_i*(L - p_i), and the suffix from the near end,
+    sum_{i>j0} w_hat_i*p_i; both come from prefix sums.  Transport adds
+    the hanging offset, the demand's distance to the path."""
+    if cp.base.m < 2:
+        raise PreconditionError("path has no edges to delete")
+    p = cp.base.prefix
+    L = float(p[-1])
+    SW = np.cumsum(cp.w_hat)[:-1]
+    SWP = np.cumsum(cp.w_hat * p)
+    SZ = np.cumsum(cp.z_hat)[:-1]
+    Z = float(cp.z_hat.sum())
+    tc = L * SW + float(SWP[-1]) - 2.0 * SWP[:-1]
+    return tc + cp.hang_offset, np.abs(SZ - (Z - SZ))
 
 
 def path_fpmax_sweep(cfg: SolverConfig, cp: CompressedPath) -> list[tuple[int, float]]:
     """Objective of every path-edge deletion with facilities fixed at the
     path endpoints (each endpoint serves the far side).
 
-    Values are true objectives: compressed-weight transport plus lam times
-    the hanging offset.  The first edge and the edge leaving the pivot
-    vertex are evaluated directly from prefix sums; every other edge comes
-    from the incremental recurrence over the shared vertex u of adjacent
-    edges:
-
-        f_before - f_after = lam*w_hat_u*(d(u,v1) - d(u,vn)) - 2*(1-lam)*z_hat_u
-
-    when u lies before the pivot, and with +2*(1-lam)*z_hat_u when u lies
-    after it.  (The two case signs are the numerically verified ones; the
-    recurrence is cross-checked against direct evaluation in debug builds.)
-    The pivot vertex itself is excluded and bridged by the direct anchor.
+    Values are true objectives: compressed-weight transport plus the
+    hanging offset, scalarized with the balance term.
     Returns [(tree edge index, objective), ...] in path order.
     """
-    m = cp.base.m
-    if m < 2:
-        raise PreconditionError("path has no edges to delete")
-    lam = cfg.lam
-    p = cp.base.prefix
-    L = float(p[-1])
-    wh = cp.w_hat
-    zh = cp.z_hat
-    C = cp.hang_offset
-    Z = float(zh.sum())
-    ne = m - 1
-    SZ = np.cumsum(zh)
-    SW = np.cumsum(wh)
-    SWP = np.cumsum(wh * p)
-    TWP = float(SWP[-1])
-
-    def direct(j0: int) -> float:
-        tc = L * SW[j0] + TWP - 2.0 * SWP[j0]
-        szj = SZ[j0]
-        return lam * (tc + C) - (1.0 - lam) * abs(szj - (Z - szj))
-
-    # delta[j0] = f[j0-1] - f[j0]; the shared vertex of edges j0-1 and j0
-    # is path position j0, which lies before the pivot iff j0 <= pivot-2
-    dl = p[:ne]
-    sgn = np.where(np.arange(ne) <= cp.pivot - 2, -1.0, 1.0)
-    delta = lam * wh[:ne] * (dl - (L - dl)) + sgn * (2.0 * (1.0 - lam) * zh[:ne])
-
-    f = np.empty(ne)
-    f[0] = direct(0)
-    a2 = cp.pivot - 1
-    if 1 <= a2 <= ne - 1:
-        if a2 > 1:
-            f[1:a2] = f[0] - np.cumsum(delta[1:a2])
-        f[a2] = direct(a2)
-        if a2 + 1 <= ne - 1:
-            f[a2 + 1:] = f[a2] - np.cumsum(delta[a2 + 1:])
-    elif ne > 1:
-        f[1:] = f[0] - np.cumsum(delta[1:])
-
-    if __debug__:
-        tc_all = L * SW[:ne] + TWP - 2.0 * SWP[:ne]
-        dvals = lam * (tc_all + C) - (1.0 - lam) * np.abs(SZ[:ne] - (Z - SZ[:ne]))
-        tol = cfg.tolerance * (1.0 + float(np.abs(dvals).max()))
-        assert np.all(np.abs(f - dvals) <= tol), \
-            "recurrence disagrees with direct path evaluation"
-
-    return [(int(cp.base.edges[j0]), float(f[j0])) for j0 in range(ne)]
+    transport, f5 = _path_terms(cp)
+    vals = objective(cfg.lam, transport, f5, "maxian")
+    return [(int(e), float(v)) for e, v in zip(cp.base.edges, vals)]
 
 
-def solve_balanced_2maxian_linear(cfg: SolverConfig, tree: WeightedTree) -> MaxianSolution:
+def linear_cut_table(tree: WeightedTree) -> CutTable:
     """Place facilities at the diameter endpoints, compress all demand onto
-    the diameter path, and sweep the path edges.  Requires strictly
+    the diameter path, and score the path edges.  Requires strictly
     positive edge lengths for the endpoint-optimality guarantee; with any
-    zero-length edge it warns and falls back to the cubic method."""
-    if tree.n < 2:
-        raise PreconditionError("balanced 2-maxian needs at least 2 vertices")
+    zero-length edge it warns and builds the cubic table instead."""
+    _needs_two_vertices(tree)
     if bool(np.any(tree.length == 0.0)):
         warnings.warn(
             "zero-length edge: diameter-endpoint optimality is not "
             "guaranteed, falling back to the cubic method",
             RuntimeWarning, stacklevel=2)
-        return solve_balanced_2maxian_cubic(cfg, tree)
+        return cubic_cut_table(tree)
     path = diameter(tree)
     cp = compress_onto_path(tree, path)
-    vals = path_fpmax_sweep(cfg, cp)
-    obj = max(v for _, v in vals)
-    e = min(ei for ei, v in vals if v == obj)
-    j0 = int(np.flatnonzero(cp.base.edges == e)[0])
-    pstart = int(path.vertices[0])
-    pend = int(path.vertices[-1])
+    transport, f5 = _path_terms(cp)
+    edges = cp.base.edges
+    pv = path.vertices
     # x1 serves the larger-endpoint side; the endpoint on the prefix side of
     # the deleted path edge serves the suffix side and vice versa
-    prefix_holds_smaller = int(tree.eu[e]) + 1 == int(path.vertices[j0])
-    x1, x2 = (pstart, pend) if prefix_holds_smaller else (pend, pstart)
-    bip = split_by_edge(tree, e)
-    in_a = bip._in_a
-    f5 = abs(bip.z_a - bip.z_b)
-    d1 = _sweep(tree, np.array([x1 - 1], dtype=np.int64)).dist
-    d2 = _sweep(tree, np.array([x2 - 1], dtype=np.int64)).dist
-    f2 = float(np.dot(tree.w[~in_a], d1[~in_a])) + float(np.dot(tree.w[in_a], d2[in_a]))
-    if __debug__:
-        lam = cfg.lam
-        recon = lam * f2 - (1.0 - lam) * f5
-        assert abs(recon - obj) <= cfg.tolerance * (1.0 + abs(obj)), \
-            "sweep objective disagrees with component recomputation"
-    return MaxianSolution(e, tree.edge_tuple(e), (x1, x2), f2, f5, obj, "linear")
+    prefix_holds_smaller = tree.eu[edges] + 1 == pv[:-1]
+    x1 = np.where(prefix_holds_smaller, pv[0], pv[-1])
+    x2 = np.where(prefix_holds_smaller, pv[-1], pv[0])
+    return CutTable(edges, transport, f5, np.column_stack([x1, x2]), "linear")
+
+
+def maxian_solution(table: CutTable, lam: float, tree: WeightedTree) -> MaxianSolution:
+    """The best cut of a maxian table at lam.  A linear table's path terms
+    round differently from the tree's own sums, so the picked cut's f2 and
+    f5 are recomputed from distances and the objective from them."""
+    e, (x1, x2), f2, f5, obj = table.best(lam, "maxian")
+    if table.method == "linear":
+        bip = split_by_edge(tree, e)
+        in_a = bip._in_a
+        f5 = abs(bip.z_a - bip.z_b)
+        d1 = _sweep(tree, np.array([x1 - 1], dtype=np.int64)).dist
+        d2 = _sweep(tree, np.array([x2 - 1], dtype=np.int64)).dist
+        f2 = float(np.dot(tree.w[~in_a], d1[~in_a])) + float(np.dot(tree.w[in_a], d2[in_a]))
+        path_obj, obj = obj, objective(lam, f2, f5, "maxian")
+        assert abs(obj - path_obj) <= TOLERANCE * (1.0 + abs(path_obj)), \
+            "path objective disagrees with component recomputation"
+    return MaxianSolution(e, tree.edge_tuple(e), (x1, x2), f2, f5, obj, table.method)
+
+
+def solve_balanced_2maxian_cubic(cfg: SolverConfig, tree: WeightedTree) -> MaxianSolution:
+    """Exact reference: the best cut of the cubic table.  Ties go to the
+    smallest edge index, then the smallest facility pair."""
+    return maxian_solution(cubic_cut_table(tree), cfg.lam, tree)
+
+
+def solve_balanced_2maxian_linear(cfg: SolverConfig, tree: WeightedTree) -> MaxianSolution:
+    """Diameter-endpoint heuristic: the best cut of the linear table (the
+    cubic table, with a warning, when an edge has zero length)."""
+    return maxian_solution(linear_cut_table(tree), cfg.lam, tree)

@@ -1,5 +1,6 @@
 """Balanced 2-median solver: enumerate edge deletions, solve a 1-median on
-each side from scratch, and scalarize with the balance term."""
+each side from scratch, and pick the cut that scalarizes best with the
+balance term."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import PreconditionError
-from .objectives import SolverConfig
+from .objectives import CutTable, SolverConfig
 from .tree import Sweep, WeightedTree, _sweep
 
 
@@ -117,26 +118,31 @@ def one_median(tree: WeightedTree, side: Iterable[int] | None = None) -> tuple[i
     return v + 1, cost
 
 
-def solve_balanced_2median(cfg: SolverConfig, tree: WeightedTree) -> MedianSolution:
-    """Try every edge deletion; on each side solve a fresh 1-median; return
-    the bipartition minimizing lam*f1 + (1-lam)*f5.  Ties go to the
-    smallest edge index (per-side medians are already deterministic).
-    O(n) work per edge, O(n^2) total."""
+def median_cut_table(tree: WeightedTree) -> CutTable:
+    """Every edge deletion with a fresh 1-median on each side: f1 is the sum
+    of the two sides' 1-median costs.  O(n) work per edge, O(n^2) total."""
     if tree.n < 2:
         raise PreconditionError("balanced 2-median needs at least 2 vertices")
-    lam = cfg.lam
     Z = float(tree.z.sum())
-    best = None
+    rows = []
     for e in range(tree.n - 1):
         sa = _sweep(tree, tree.eu[e:e + 1], block_edge=e)
         sb = _sweep(tree, tree.ev[e:e + 1], block_edge=e)
         m1, c1 = _one_median_swept(tree, sa)
         m2, c2 = _one_median_swept(tree, sb)
         za = float(tree.z[sa.order].sum())
-        f5 = abs(za - (Z - za))
-        f1 = c1 + c2
-        obj = lam * f1 + (1.0 - lam) * f5
-        if best is None or obj < best[0]:
-            best = (obj, e, m1 + 1, m2 + 1, f1, f5)
-    obj, e, m1, m2, f1, f5 = best
-    return MedianSolution(e, tree.edge_tuple(e), (m1, m2), f1, f5, obj)
+        rows.append((c1 + c2, abs(za - (Z - za)), m1 + 1, m2 + 1))
+    return CutTable.per_edge(rows, "edge-deletion")
+
+
+def median_solution(table: CutTable, lam: float, tree: WeightedTree) -> MedianSolution:
+    """The best cut of a median table at lam."""
+    e, medians, f1, f5, obj = table.best(lam, "median")
+    return MedianSolution(e, tree.edge_tuple(e), medians, f1, f5, obj)
+
+
+def solve_balanced_2median(cfg: SolverConfig, tree: WeightedTree) -> MedianSolution:
+    """Try every edge deletion; on each side solve a fresh 1-median; return
+    the bipartition minimizing lam*f1 + (1-lam)*f5.  Ties go to the
+    smallest edge index (per-side medians are already deterministic)."""
+    return median_solution(median_cut_table(tree), cfg.lam, tree)

@@ -1,4 +1,5 @@
-"""Objective evaluators for facility pairs on an edge-induced bipartition.
+"""Objective evaluators for facility pairs on an edge-induced bipartition,
+and the per-cut table every solver picks its answer from.
 
 The scalarized objectives are always computed with the same expression
 shape, lam*(transport) +/- (1.0-lam)*balance, so that independent routes
@@ -14,26 +15,66 @@ import numpy as np
 from .errors import ConfigError, PreconditionError
 from .tree import EdgeBipartition, WeightedTree, _sweep, split_by_edge
 
+# relative slack for comparing two routes to one float that may round apart
+TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """lam is the transport weight in [0, 1]; 1-lam weighs the balance term.
-
-    tolerance is used for floating comparisons where exactness cannot be
-    guaranteed; tie_break is fixed to the smallest-id policy.
-    """
+    """lam is the transport weight in [0, 1]; 1-lam weighs the balance term."""
 
     lam: float
-    tolerance: float = 1e-9
-    tie_break: str = "smallest-id"
 
     def __post_init__(self):
         if not (isinstance(self.lam, (int, float)) and 0.0 <= self.lam <= 1.0):
             raise ConfigError(f"lambda must lie in [0, 1], got {self.lam!r}")
-        if not (isinstance(self.tolerance, (int, float)) and self.tolerance >= 0):
-            raise ConfigError("tolerance must be non-negative")
-        if self.tie_break != "smallest-id":
-            raise ConfigError(f"unknown tie-break policy {self.tie_break!r}")
+
+
+def objective(lam: float, transport, f5, problem: str):
+    """lam*transport + (1.0-lam)*f5 for the median, lam*transport -
+    (1.0-lam)*f5 for the maxian; scalars or arrays alike."""
+    if problem == "median":
+        return lam * transport + (1.0 - lam) * f5
+    return lam * transport - (1.0 - lam) * f5
+
+
+@dataclass(frozen=True, eq=False)
+class CutTable:
+    """The lambda-independent terms of every cut a solver considers.
+
+    Row k deletes tree edge edges[k]; transport[k] is its f1 (median) or f2
+    (maxian), f5[k] its imbalance and facilities[k] the 1-based pair a
+    solution reports for it.  method names the algorithm that filled the
+    table.  Only the weighting of the two terms depends on lambda, so one
+    table answers every lambda.
+    """
+
+    edges: np.ndarray
+    transport: np.ndarray
+    f5: np.ndarray
+    facilities: np.ndarray
+    method: str
+
+    @classmethod
+    def per_edge(cls, rows: list, method: str) -> CutTable:
+        """Table with one (transport, f5, fac1, fac2) row per tree edge, in
+        edge order."""
+        transport, f5, fac1, fac2 = (np.array(col) for col in zip(*rows))
+        return cls(np.arange(len(rows)), transport, f5,
+                   np.column_stack([fac1, fac2]), method)
+
+    def best(self, lam: float,
+             problem: str) -> tuple[int, tuple[int, int], float, float, float]:
+        """(edge, facilities, transport, f5, objective) of the best cut at
+        lam: the minimum for the median, the maximum for the maxian.  Ties
+        go to the smallest edge index."""
+        obj = objective(lam, self.transport, self.f5, problem)
+        top = obj.min() if problem == "median" else obj.max()
+        rows = np.flatnonzero(obj == top)
+        k = rows[np.argmin(self.edges[rows])]
+        a, b = self.facilities[k]
+        return (int(self.edges[k]), (int(a), int(b)), float(self.transport[k]),
+                float(self.f5[k]), float(obj[k]))
 
 
 @dataclass(frozen=True, eq=False)

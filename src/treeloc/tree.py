@@ -291,14 +291,11 @@ class CompressedPath:
     path; w_hat/z_hat hold the anchored weight and z totals per path
     position.  hang_offset is sum_v w[v]*d(v, anchor(v)), the transport
     spent off the path, constant once facilities sit at the path endpoints.
-    pivot is the 1-based first position where the running z_hat total
-    reaches half of Z.
     """
 
     base: PathDescriptor
     w_hat: np.ndarray
     z_hat: np.ndarray
-    pivot: int
     hang_offset: float
 
     @property
@@ -322,9 +319,7 @@ def compress_onto_path(tree: WeightedTree, p: PathDescriptor) -> CompressedPath:
     w_hat = np.bincount(pos, weights=tree.w, minlength=m)
     z_hat = np.bincount(pos, weights=tree.z, minlength=m)
     hang_offset = float(np.dot(tree.w, s.dist))
-    half = z_hat.sum() / 2.0
-    pivot = int(np.searchsorted(np.cumsum(z_hat), half, side="left")) + 1
-    return CompressedPath(p, w_hat, z_hat, min(pivot, m), hang_offset)
+    return CompressedPath(p, w_hat, z_hat, hang_offset)
 
 
 def parse_tree(text: str) -> WeightedTree:

@@ -129,6 +129,9 @@ def test_lambda_sweep_validation(t6):
         lambda_sweep(t6, "median", [0.5], method="quartic")
     with pytest.raises(ConfigError):
         lambda_sweep(t6, "median", [1.5])
+    # every lambda is checked before the (impossible) solve starts
+    with pytest.raises(ConfigError):
+        lambda_sweep(build_tree(1, []), "median", [0.5, 2.0])
 
 
 def test_record_consistency_check():
@@ -166,6 +169,8 @@ def test_pareto_is_nondominated():
                     assert not (q[0] >= p[0] and q[1] <= p[1])
     with pytest.raises(ConfigError):
         pareto_front(tree, "median", 1)
+    with pytest.raises(ConfigError):
+        pareto_front(build_tree(1, []), "medain", 3)
 
 
 def test_allocation_report_median(t6):

@@ -117,6 +117,22 @@ def test_linear_equals_cubic_at_pure_maxian():
 
 
 def test_objective_recomposes(t6b):
-    for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        sol = solve_balanced_2maxian_linear(SolverConfig(lam), t6b)
-        assert sol.objective == lam * sol.f2 - (1.0 - lam) * sol.f5
+    rng = random.Random(7401)
+    trees = [t6b] + [random_int_tree(rng, rng.randint(3, 14)) for _ in range(60)]
+    for tree in trees:
+        for lam in (0.0, 0.1, 0.25, 0.5, 0.75, 0.8, 1.0):
+            sol = solve_balanced_2maxian_linear(SolverConfig(lam), tree)
+            assert sol.objective == lam * sol.f2 - (1.0 - lam) * sol.f5
+
+
+def test_linear_picks_smallest_best_path_cut():
+    rng = random.Random(7501)
+    for _ in range(60):
+        tree = random_int_tree(rng, rng.randint(3, 14))
+        cp = compress_onto_path(tree, diameter(tree))
+        for lam in (0.0, 0.1, 0.25, 0.5, 0.75, 0.8, 1.0):
+            cfg = SolverConfig(lam)
+            vals = brute_path_fpmax(cfg, cp)
+            top = max(v for _, v in vals)
+            best = min(e for e, v in vals if v == top)
+            assert solve_balanced_2maxian_linear(cfg, tree).deleted_edge == best

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -12,15 +13,12 @@ from conftest import random_int_tree
 def test_solver_config_defaults():
     cfg = SolverConfig(0.5)
     assert cfg.lam == 0.5
-    assert cfg.tolerance == 1e-9
-    assert cfg.tie_break == "smallest-id"
+    assert [f.name for f in fields(SolverConfig)] == ["lam"]
 
 
 @pytest.mark.parametrize("kwargs", [
     {"lam": -0.1},
     {"lam": 1.1},
-    {"lam": 0.5, "tolerance": -1e-9},
-    {"lam": 0.5, "tie_break": "random"},
 ])
 def test_solver_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
