@@ -13,7 +13,7 @@ from .maxian import (MaxianSolution, cubic_cut_table, linear_cut_table,
                      maxian_solution)
 from .median import MedianSolution, median_cut_table, median_solution
 from .objectives import TOLERANCE, SolverConfig, objective
-from .tree import WeightedTree, _fmt, _sweep, split_by_edge
+from .tree import WeightedTree, _fmt, distances, split_by_edge
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -232,8 +232,7 @@ def allocation_report(solution: MedianSolution | MaxianSolution,
         x1, x2 = solution.facilities
         serve_a, serve_b = x2, x1
         farthest = True
-    da = _sweep(tree, np.array([serve_a - 1], dtype=np.int64)).dist
-    db = _sweep(tree, np.array([serve_b - 1], dtype=np.int64)).dist
+    da, db = distances(tree, [serve_a - 1, serve_b - 1])
     serving = np.where(bip._in_a, da, db)
     other = np.where(bip._in_a, db, da)
     if farthest:

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .objectives import TOLERANCE, CutTable, SolverConfig, objective
-from .tree import (CompressedPath, Sweep, WeightedTree, _sweep,
-                   compress_onto_path, diameter, split_by_edge)
+from .objectives import (TOLERANCE, CutTable, SolverConfig, cut_imbalance,
+                         objective)
+from .tree import (CompressedPath, WeightedTree, compress_onto_path, cut_blocks,
+                   diameter, dist_sums, distances, split_by_edge)
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,57 +36,23 @@ class MaxianSolution:
     method: str
 
 
-def _dist_sums(tree: WeightedTree, wm: np.ndarray, s0: Sweep) -> np.ndarray:
-    """S[x] = sum_v wm[v] * d(v, x) for every vertex x.
-
-    Reroot dynamic program over the traversal s0: subtree masses and costs
-    accumulate bottom-up, then S propagates top-down with
-    S[child] = S[parent] + (Wm - 2*mass_below) * edge length.
-    """
-    order, levels, parent, pedge = s0.order, s0.levels, s0.parent, s0.pedge
-    length = tree.length
-    sub = np.asarray(wm, dtype=np.float64).copy()
-    acc = np.zeros(tree.n)
-    bounds = np.cumsum(levels)
-    for k in range(levels.size - 1, 0, -1):
-        chunk = order[bounds[k - 1]:bounds[k]]
-        par = parent[chunk]
-        ln = length[pedge[chunk]]
-        np.add.at(acc, par, acc[chunk] + sub[chunk] * ln)
-        np.add.at(sub, par, sub[chunk])
-    root = int(order[0])
-    Wm = float(sub[root])
-    S = np.zeros(tree.n)
-    S[root] = acc[root]
-    for k in range(1, levels.size):
-        chunk = order[bounds[k - 1]:bounds[k]]
-        S[chunk] = S[parent[chunk]] + (Wm - 2.0 * sub[chunk]) * length[pedge[chunk]]
-    return S
-
-
-def _best_pair(A: np.ndarray, B: np.ndarray) -> tuple[int, int, float]:
-    """Maximize A[x1] + B[x2] over ordered pairs x1 != x2; among maximizers
-    return the lexicographically smallest pair.  np.argmax takes the first
-    maximum, so each side's argmax is already its smallest maximizing id;
-    only a shared argmax needs the two runner-up candidates compared."""
-    a1 = int(np.argmax(A))
-    b1 = int(np.argmax(B))
-    if a1 != b1:
-        return a1, b1, float(A[a1] + B[b1])
-    q = a1
-    A2 = A.copy()
-    A2[q] = -np.inf
-    a2 = int(np.argmax(A2))
-    B2 = B.copy()
-    B2[q] = -np.inf
-    b2 = int(np.argmax(B2))
-    v1 = float(A[q] + B2[b2])
-    v2 = float(A2[a2] + B[q])
-    if v1 > v2:
-        return q, b2, v1
-    if v2 > v1:
-        return a2, q, v2
-    return (q, b2, v1) if (q, b2) < (a2, q) else (a2, q, v2)
+def _best_pairs(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per row, the lexicographically smallest pair x1 != x2 maximizing
+    A[x1] + B[x2].  np.argmax takes the first maximum, the smallest id; only
+    a shared argmax q needs (q, B's runner-up) and (A's runner-up, q)."""
+    rows = np.arange(A.shape[0])
+    a1, b1 = A.argmax(axis=1), B.argmax(axis=1)
+    va, vb = A[rows, a1], B[rows, b1]
+    A2, B2 = A.copy(), B.copy()
+    A2[rows, a1] = -np.inf
+    B2[rows, b1] = -np.inf
+    a2, b2 = A2.argmax(axis=1), B2.argmax(axis=1)
+    v1, v2 = va + B2[rows, b2], A2[rows, a2] + vb
+    first = (v1 > v2) | ((v1 == v2) & (a1 < a2))
+    same = a1 == b1
+    x1 = np.where(same & ~first, a2, a1)
+    x2 = np.where(same & first, b2, b1)
+    return x1, x2, np.where(same, np.where(first, v1, v2), va + vb)
 
 
 def _needs_two_vertices(tree: WeightedTree):
@@ -97,18 +64,17 @@ def cubic_cut_table(tree: WeightedTree) -> CutTable:
     """Reference method: for every edge deletion, score every ordered
     facility pair (x1 anywhere, serving the larger-endpoint side through
     masked weights; x2 serving the other side) and keep the best pair, the
-    smallest one among ties."""
+    smallest one among ties.  O(n) numpy work per edge, a block of edges
+    per call."""
     _needs_two_vertices(tree)
-    s0 = _sweep(tree, np.array([0], dtype=np.int64))
-    rows = []
-    for e in range(tree.n - 1):
-        bip = split_by_edge(tree, e)
-        in_a = bip._in_a
-        A = _dist_sums(tree, np.where(in_a, 0.0, tree.w), s0)
-        B = _dist_sums(tree, np.where(in_a, tree.w, 0.0), s0)
-        x1, x2, f2 = _best_pair(A, B)
-        rows.append((f2, abs(bip.z_a - bip.z_b), x1 + 1, x2 + 1))
-    return CutTable.per_edge(rows, "cubic")
+    S_all = np.take(dist_sums(tree, tree.w[tree.preorder][None])[0][0], tree.tin)
+    f2 = np.empty(tree.n - 1)
+    pairs = np.empty((tree.n - 1, 2), dtype=np.int64)
+    for edges, _, _, S in cut_blocks(tree):
+        B = np.take(S, tree.tin, axis=1)        # distance sums to side a, which x2 serves
+        x1, x2, f2[edges] = _best_pairs(S_all - B, B)
+        pairs[edges] = np.column_stack([x1, x2]) + 1
+    return CutTable(np.arange(tree.n - 1), f2, cut_imbalance(tree), pairs, "cubic")
 
 
 def _path_terms(cp: CompressedPath) -> tuple[np.ndarray, np.ndarray]:
@@ -171,15 +137,18 @@ def linear_cut_table(tree: WeightedTree) -> CutTable:
 def maxian_solution(table: CutTable, lam: float, tree: WeightedTree) -> MaxianSolution:
     """The best cut of a maxian table at lam.  A linear table's path terms
     round differently from the tree's own sums, so the picked cut's f2 and
-    f5 are recomputed from distances and the objective from them."""
+    f5 are recomputed from distances, once per picked edge of the table,
+    and the objective from them."""
     e, (x1, x2), f2, f5, obj = table.best(lam, "maxian")
     if table.method == "linear":
-        bip = split_by_edge(tree, e)
-        in_a = bip._in_a
-        f5 = abs(bip.z_a - bip.z_b)
-        d1 = _sweep(tree, np.array([x1 - 1], dtype=np.int64)).dist
-        d2 = _sweep(tree, np.array([x2 - 1], dtype=np.int64)).dist
-        f2 = float(np.dot(tree.w[~in_a], d1[~in_a])) + float(np.dot(tree.w[in_a], d2[in_a]))
+        if e not in table.recomputed:
+            bip = split_by_edge(tree, e)
+            in_a = bip._in_a
+            d1, d2 = distances(tree, [x1 - 1, x2 - 1])
+            table.recomputed[e] = (
+                float(np.dot(tree.w[~in_a], d1[~in_a]))
+                + float(np.dot(tree.w[in_a], d2[in_a])), abs(bip.z_a - bip.z_b))
+        f2, f5 = table.recomputed[e]
         path_obj, obj = obj, objective(lam, f2, f5, "maxian")
         assert abs(obj - path_obj) <= TOLERANCE * (1.0 + abs(path_obj)), \
             "path objective disagrees with component recomputation"

@@ -1,6 +1,5 @@
-"""Balanced 2-median solver: enumerate edge deletions, solve a 1-median on
-each side from scratch, and pick the cut that scalarizes best with the
-balance term."""
+"""Balanced 2-median solver: enumerate edge deletions, find a 1-median on
+each side, and pick the cut that scalarizes best with the balance term."""
 
 from __future__ import annotations
 
@@ -10,8 +9,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import PreconditionError
-from .objectives import CutTable, SolverConfig
-from .tree import Sweep, WeightedTree, _sweep
+from .objectives import CutTable, SolverConfig, cut_imbalance
+from .tree import WeightedTree, cut_blocks, dist_sums, root_path_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,69 +28,24 @@ class MedianSolution:
     objective: float
 
 
-def _subtree_sums(values: np.ndarray, s: Sweep) -> np.ndarray:
-    """Accumulate values over the traversal subtree below each visited
-    vertex, level by level from the deepest up (parents sit exactly one
-    level above their children)."""
-    sub = np.asarray(values, dtype=np.float64).copy()
-    bounds = np.cumsum(s.levels)
-    for k in range(s.levels.size - 1, 0, -1):
-        chunk = s.order[bounds[k - 1]:bounds[k]]
-        np.add.at(sub, s.parent[chunk], sub[chunk])
-    return sub
+def _one_median_swept(tree: WeightedTree, side: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """Smallest-id 1-median (0-based) of each row's side.
 
-
-def _one_median_swept(tree: WeightedTree, s: Sweep) -> tuple[int, float]:
-    """1-median of the vertex set visited by sweep s (0-based result).
-
-    Weight-majority walk: descend from the root into a child whose subtree
-    carries a strict majority of the side's weight; the stopping vertex
-    minimizes the weighted distance sum.  The cost is maintained
-    incrementally (moving across an edge of length L toward mass B changes
-    it by (W - 2B)*L).  Ties, including those created by zero-length edges
-    or an exact half split, are collected by flooding over zero-delta edges
-    and resolved to the smallest id.
-    """
-    order = s.order
-    root = int(order[0])
-    subw = _subtree_sums(tree.w, s)
-    Ws = float(subw[root])
-    cost = float(np.dot(tree.w[order], s.dist[order]))
-    ptr, nbr, eidx, length = tree._ptr, tree._nbr, tree._eidx, tree.length
-    v = root
-    while True:
-        sl = slice(ptr[v], ptr[v + 1])
-        cand = nbr[sl]
-        kid_mask = s.parent[cand] == v
-        kids = cand[kid_mask]
-        if kids.size == 0:
-            break
-        i = int(np.argmax(subw[kids]))
-        c = int(kids[i])
-        if 2.0 * subw[c] > Ws:
-            ke = eidx[sl][kid_mask][i]
-            cost += (Ws - 2.0 * subw[c]) * float(length[ke])
-            v = c
-        else:
-            break
-    # flood across edges whose crossing delta is zero; the argmin set of a
-    # convex tree function is connected, so this finds every tied vertex
-    seen = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for sl_i in range(int(ptr[x]), int(ptr[x + 1])):
-            nb = int(nbr[sl_i])
-            if nb in seen or not np.isfinite(s.dist[nb]):
-                continue
-            if s.parent[nb] == x:
-                mass = subw[nb]
-            else:
-                mass = Ws - subw[x]
-            if (Ws - 2.0 * mass) * float(length[eidx[sl_i]]) == 0.0:
-                seen.add(nb)
-                stack.append(nb)
-    return min(seen), cost
+    Rows are preorder positions: the side's mask and its weights' subtree
+    sums.  Exact tests, no float cost comparison, pick the argmin set: no
+    positive-length side edge leads away from x to more than half the
+    side's weight (the weight-majority set, closed under zero-length
+    edges), so x lies below every side edge whose lower part is such a
+    majority and below none whose upper part is."""
+    pos = tree._pos
+    W = sub[:, :1]
+    inner = side & side[:, pos.up] & (pos.plen > 0.0)
+    heavy = inner & (2.0 * sub > W)
+    light = inner & (2.0 * sub < W)
+    # heavy edges above x, sunk below zero by any light one; the side's top
+    # scores 0, so the row maximum is reached exactly on the majority set
+    score = np.where(side, root_path_sums(tree, heavy - (tree.n + 1.0) * light), -1.0)
+    return np.where(score == score.max(axis=1, keepdims=True), tree.preorder, tree.n).min(axis=1)
 
 
 def one_median(tree: WeightedTree, side: Iterable[int] | None = None) -> tuple[int, float]:
@@ -111,28 +65,32 @@ def one_median(tree: WeightedTree, side: Iterable[int] | None = None) -> tuple[i
             raise PreconditionError("side contains an out-of-range vertex id")
     mask = np.zeros(tree.n, dtype=bool)
     mask[ids] = True
-    s = _sweep(tree, ids[:1], allow=mask)
-    if s.order.size != ids.size:
+    # connected iff it spans one edge fewer than it has vertices
+    if np.count_nonzero(mask[1:] & mask[tree.parent[1:]]) != ids.size - 1:
         raise PreconditionError("side does not induce a connected subtree")
-    v, cost = _one_median_swept(tree, s)
-    return v + 1, cost
+    in_side = mask[tree.preorder][None]
+    S, sub = dist_sums(tree, np.where(in_side, tree.w[tree.preorder], 0.0))
+    m = int(_one_median_swept(tree, in_side, sub)[0])
+    return m + 1, float(S[0, tree.tin[m]])
 
 
 def median_cut_table(tree: WeightedTree) -> CutTable:
-    """Every edge deletion with a fresh 1-median on each side: f1 is the sum
-    of the two sides' 1-median costs.  O(n) work per edge, O(n^2) total."""
+    """Every edge deletion with a 1-median on each side: f1 is the sum of
+    the two sides' 1-median costs.  O(n) numpy work per edge, O(n^2) in
+    total, done a block of edges per call."""
     if tree.n < 2:
         raise PreconditionError("balanced 2-median needs at least 2 vertices")
-    Z = float(tree.z.sum())
-    rows = []
-    for e in range(tree.n - 1):
-        sa = _sweep(tree, tree.eu[e:e + 1], block_edge=e)
-        sb = _sweep(tree, tree.ev[e:e + 1], block_edge=e)
-        m1, c1 = _one_median_swept(tree, sa)
-        m2, c2 = _one_median_swept(tree, sb)
-        za = float(tree.z[sa.order].sum())
-        rows.append((c1 + c2, abs(za - (Z - za)), m1 + 1, m2 + 1))
-    return CutTable.per_edge(rows, "edge-deletion")
+    S_all, sub_all = dist_sums(tree, tree.w[tree.preorder][None])
+    f1 = np.empty(tree.n - 1)
+    medians = np.empty((tree.n - 1, 2), dtype=np.int64)
+    for edges, in_a, sub, S in cut_blocks(tree):
+        m1 = _one_median_swept(tree, in_a, sub)
+        m2 = _one_median_swept(tree, ~in_a, sub_all - sub)
+        rows, x1, x2 = np.arange(edges.size), tree.tin[m1], tree.tin[m2]
+        f1[edges] = S[rows, x1] + (S_all[0, x2] - S[rows, x2])
+        medians[edges] = np.column_stack([m1, m2]) + 1
+    return CutTable(np.arange(tree.n - 1), f1, cut_imbalance(tree), medians,
+                    "edge-deletion")
 
 
 def median_solution(table: CutTable, lam: float, tree: WeightedTree) -> MedianSolution:

@@ -8,12 +8,13 @@ to the same quantities compare bit-for-bit on integer inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .tree import EdgeBipartition, WeightedTree, _sweep, split_by_edge
+from .tree import (EdgeBipartition, WeightedTree, distances, lower_end,
+                   split_by_edge, subtree_sums)
 
 # relative slack for comparing two routes to one float that may round apart
 TOLERANCE = 1e-9
@@ -46,7 +47,8 @@ class CutTable:
     (maxian), f5[k] its imbalance and facilities[k] the 1-based pair a
     solution reports for it.  method names the algorithm that filled the
     table.  Only the weighting of the two terms depends on lambda, so one
-    table answers every lambda.
+    table answers every lambda.  recomputed keeps the (transport, f5) a
+    pick recomputed from the tree, by edge, for picks at other lambdas.
     """
 
     edges: np.ndarray
@@ -54,14 +56,7 @@ class CutTable:
     f5: np.ndarray
     facilities: np.ndarray
     method: str
-
-    @classmethod
-    def per_edge(cls, rows: list, method: str) -> CutTable:
-        """Table with one (transport, f5, fac1, fac2) row per tree edge, in
-        edge order."""
-        transport, f5, fac1, fac2 = (np.array(col) for col in zip(*rows))
-        return cls(np.arange(len(rows)), transport, f5,
-                   np.column_stack([fac1, fac2]), method)
+    recomputed: dict = field(default_factory=dict, repr=False)
 
     def best(self, lam: float,
              problem: str) -> tuple[int, tuple[int, int], float, float, float]:
@@ -137,11 +132,20 @@ def eval_transport(tree: WeightedTree, assignment: Assignment) -> float:
         if not (1 <= f <= tree.n):
             raise PreconditionError(f"facility id {f} out of range")
     in_a = assignment.partition._in_a
-    da = _sweep(tree, np.array([assignment.serve_a - 1])).dist
-    db = _sweep(tree, np.array([assignment.serve_b - 1])).dist
+    da, db = distances(tree, [assignment.serve_a - 1, assignment.serve_b - 1])
     ta = float(np.dot(tree.w[in_a], da[in_a]))
     tb = float(np.dot(tree.w[~in_a], db[~in_a]))
     return ta + tb
+
+
+def cut_imbalance(tree: WeightedTree) -> np.ndarray:
+    """f5 of every edge deletion, in edge order: |z_a - z_b| with z_a the
+    z sum of the side holding the smaller endpoint, from subtree sums."""
+    low = lower_end(tree, np.arange(tree.n - 1))
+    Z = float(tree.z.sum())
+    z_low = subtree_sums(tree, tree.z[tree.preorder])[tree.tin[low]]
+    z_a = np.where(low == tree.eu, z_low, Z - z_low)
+    return np.abs(z_a - (Z - z_a))
 
 
 def eval_f3(partition: EdgeBipartition) -> float:

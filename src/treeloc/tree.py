@@ -6,24 +6,49 @@ Conventions used across the package:
 * Everything stored in numpy arrays is 0-indexed.
 * Edge indices refer to input order and are 0-based; stored endpoints are
   normalized so eu[e] < ev[e].
+
+WeightedTree caches one traversal rooted at vertex 0, built in a fixed
+number of numpy passes whatever the depth: an Euler tour ranked by pointer
+jumping, which also decides connectivity.  Three primitives over preorder
+positions then replace every walk: subtree sums (prefix-sum differences),
+root-path sums, and dist_sums, sum_v w[v] * d(v, x) for every x and every
+row of a block of weight rows.  Construction is O(n log n); a cut, a
+distance array or a distance sum is then O(n) numpy work at any depth.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import PreconditionError, TreeParseError
+
+# elements per (rows, n) block of the cut tables: rows = _BLOCK // n edges
+_BLOCK = 1 << 14
+
+
+class _Positions(NamedTuple):
+    """The traversal by preorder position: position i holds vertex
+    preorder[i] and its subtree the positions i <= j < end[i]."""
+
+    end: np.ndarray
+    dep: np.ndarray
+    plen: np.ndarray    # length of the edge up to the parent, 0 at the root
+    up: np.ndarray      # position of the parent, 0 at the root
 
 
 @dataclass(frozen=True, eq=False)
 class WeightedTree:
     """Tree with per-edge lengths and per-vertex demand weight w and service
     time t.  The balance quantity z = w*t is derived on construction, along
-    with CSR adjacency (_ptr, _nbr, _eidx).  All arrays are frozen read-only.
+    with the traversal rooted at vertex 0: preorder (vertex ids in
+    preorder), parent and pedge (parent vertex and edge, -1 at the root),
+    dep (distance from the root) and tin/tout (the vertices below v are
+    those with tin[v] <= tin < tout[v]).  All arrays are frozen read-only.
     """
 
     n: int
@@ -33,9 +58,12 @@ class WeightedTree:
     w: np.ndarray
     t: np.ndarray
     z: np.ndarray = field(init=False, repr=False)
-    _ptr: np.ndarray = field(init=False, repr=False)
-    _nbr: np.ndarray = field(init=False, repr=False)
-    _eidx: np.ndarray = field(init=False, repr=False)
+    preorder: np.ndarray = field(init=False, repr=False)
+    parent: np.ndarray = field(init=False, repr=False)
+    pedge: np.ndarray = field(init=False, repr=False)
+    dep: np.ndarray = field(init=False, repr=False)
+    tin: np.ndarray = field(init=False, repr=False)
+    tout: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n
@@ -67,31 +95,13 @@ class WeightedTree:
                 raise TreeParseError(f"non-finite {name} value")
             if arr.size and arr.min() < 0:
                 raise TreeParseError(f"negative {name} value")
-        object.__setattr__(self, "eu", lo)
-        object.__setattr__(self, "ev", hi)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "z", w * t)
-
-        # CSR adjacency: stable sort keeps each vertex's slots in edge order.
-        ends = np.concatenate([lo, hi])
-        others = np.concatenate([hi, lo])
-        eidx = np.concatenate([np.arange(n - 1), np.arange(n - 1)])
-        perm = np.argsort(ends, kind="stable")
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(ptr, ends + 1, 1)
-        np.cumsum(ptr, out=ptr)
-        object.__setattr__(self, "_ptr", ptr)
-        object.__setattr__(self, "_nbr", others[perm])
-        object.__setattr__(self, "_eidx", eidx[perm])
-
-        reach = _sweep(self, np.array([0], dtype=np.int64))
-        if reach.order.size != n:
+        traversal = _rooted_traversal(n, lo, hi, length)
+        if traversal is None:
             raise TreeParseError("edge list does not connect all vertices")
-        for arr in (self.eu, self.ev, self.length, self.w, self.t, self.z,
-                    self._ptr, self._nbr, self._eidx):
+        arrays = dict(eu=lo, ev=hi, length=length, w=w, t=t, z=w * t, **traversal)
+        for name, arr in arrays.items():
             arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def Z(self) -> float:
@@ -99,91 +109,150 @@ class WeightedTree:
 
     @property
     def deg(self) -> np.ndarray:
-        return np.diff(self._ptr)
+        return np.bincount(np.concatenate([self.eu, self.ev]), minlength=self.n)
 
     def edge_tuple(self, e: int) -> tuple[int, int]:
         """1-based (u, v) endpoints of edge index e, u < v."""
         return int(self.eu[e]) + 1, int(self.ev[e]) + 1
 
+    @cached_property
+    def _pos(self) -> _Positions:
+        pre = self.preorder
+        end = self.tout[pre]
+        plen = np.zeros(self.n)
+        plen[1:] = self.length[self.pedge[pre[1:]]]
+        return _Positions(end, self.dep[pre], plen,
+                          self.tin[np.maximum(self.parent[pre], 0)])
 
-class Sweep(NamedTuple):
-    dist: np.ndarray
-    parent: np.ndarray
-    pedge: np.ndarray
-    order: np.ndarray
-    levels: np.ndarray
-    label: np.ndarray | None
+
+def _rooted_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
+                      length: np.ndarray) -> dict | None:
+    """The traversal arrays rooted at vertex 0, or None when the edges do not
+    connect all vertices.  Arc k < n-1 runs lo[k] -> hi[k], arc k + n-1
+    back; slots group arcs by tail, in edge order, and the tour leaves a
+    vertex by the slot after the reverse of the arc it came in by.  Cut
+    before vertex 0's first slot, a tree's tour is one list through all
+    arcs, ranked by pointer jumping in ceil(log2(2n-2)) passes; any other
+    edge set leaves an arc off it or a vertex without arcs."""
+    if n == 1:
+        return dict(preorder=np.zeros(1, dtype=np.int64), parent=np.full(1, -1),
+                    pedge=np.full(1, -1), dep=np.zeros(1),
+                    tin=np.zeros(1, dtype=np.int64), tout=np.ones(1, dtype=np.int64))
+    i32 = np.int32
+    m = 2 * (n - 1)
+    tail = np.concatenate([lo, hi]).astype(i32)
+    ptr = np.zeros(n + 1, dtype=i32)
+    np.cumsum(np.bincount(tail, minlength=n), out=ptr[1:])
+    if np.any(ptr[1:] == ptr[:-1]):
+        return None
+    arc = np.argsort(tail, kind="stable").astype(i32)       # slot -> arc
+    slot = tail                                             # arc -> slot
+    slot[arc] = np.arange(m, dtype=i32)
+    rev = slot[(arc + (n - 1)) % m]                         # slot of the reverse arc
+    del slot, tail
+    head = np.concatenate([hi, lo]).astype(i32)[arc]
+    succ = np.full(m + 1, m, dtype=i32)                     # slot m ends the list
+    succ[:m] = rev + 1
+    wrap = succ[:m] == ptr[head + 1]
+    succ[:m][wrap] = ptr[head[wrap]]
+    succ[rev[ptr[1] - 1]] = m                               # cut before vertex 0's first slot
+    rank = (np.arange(m + 1) < m).astype(i32)               # hops to the end
+    for _ in range((m - 1).bit_length()):     # np.take gathers faster than [] here
+        rank += np.take(rank, succ)
+        succ = np.take(succ, succ)
+    if np.any(succ[:m] != m):
+        return None
+    pos = m - rank[:m]                                      # slot -> tour position
+    del wrap, succ, rank
+    tour = np.empty(m, dtype=i32)
+    tour[pos] = np.arange(m, dtype=i32)
+    is_down = (pos < pos[rev])[tour]
+    step = length[arc[tour] % (n - 1)]
+    climb = np.cumsum(np.where(is_down, step, -step))[is_down]
+    dn = tour[is_down]                                      # down slots in tour order
+    del tour, is_down, step
+    child = head[dn].astype(np.int64)
+    preorder = np.concatenate([[0], child])
+    tin = np.empty(n, dtype=np.int64)
+    tin[preorder] = np.arange(n)
+    parent, pedge, dep, tout = np.full(n, -1), np.full(n, -1), np.zeros(n), np.full(n, n)
+    parent[child], pedge[child], dep[child] = head[rev[dn]], arc[dn] % (n - 1), climb
+    tout[child] = tin[child] + (pos[rev[dn]] - pos[dn] + 1) // 2
+    return dict(preorder=preorder, parent=parent, pedge=pedge, dep=dep, tin=tin,
+                tout=tout)
 
 
-def _sweep(tree: WeightedTree, sources: np.ndarray, block_edge: int | None = None,
-           labels: np.ndarray | None = None,
-           allow: np.ndarray | None = None) -> Sweep:
-    """Frontier BFS from one or more source vertices (0-based).
+def subtree_sums(tree: WeightedTree, vals: np.ndarray) -> np.ndarray:
+    """Sum of vals over each position's subtree; vals holds preorder
+    positions on its last axis."""
+    pfx = np.zeros(vals.shape[:-1] + (tree.n + 1,))
+    np.cumsum(vals, axis=-1, out=pfx[..., 1:])
+    sub = np.take(pfx, tree._pos.end, axis=-1)     # faster than [..., end] for few rows
+    return np.subtract(sub, pfx[..., :-1], out=sub)
 
-    Returns weighted distances (tree paths are unique, so hop-ordered
-    visiting still yields exact distances), BFS parents/parent edges, the
-    visit order (parents before children), and optionally a label array
-    propagated from the sources.  block_edge excludes one edge; allow is an
-    optional vertex mask the traversal must stay inside.  When multiple
-    sources are given they must induce a connected subtree; that guarantees
-    each remaining vertex is reachable through exactly one frontier vertex
-    per level, so candidate batches never contain duplicates.
-    """
+
+def root_path_sums(tree: WeightedTree, vals: np.ndarray) -> np.ndarray:
+    """Sum of vals over each position and its ancestors: a prefix sum in
+    which each subtree's values leave again at its end position."""
     n = tree.n
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    ptr, nbr, eidx, length = tree._ptr, tree._nbr, tree._eidx, tree.length
-    deg = np.diff(ptr)
-    dist = np.full(n, np.inf)
-    parent = np.full(n, -1, dtype=np.int64)
-    pedge = np.full(n, -1, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    visited[sources] = True
-    dist[sources] = 0.0
-    lab = None
-    if labels is not None:
-        lab = np.full(n, -1, dtype=np.int64)
-        lab[sources] = labels
-    chunks = [sources]
-    frontier = sources
-    while frontier.size:
-        cnt = deg[frontier]
-        total = int(cnt.sum())
-        if total == 0:
-            break
-        rep_src = np.repeat(frontier, cnt)
-        cum = np.cumsum(cnt)
-        offs = np.arange(total, dtype=np.int64) - np.repeat(cum - cnt, cnt)
-        slots = np.repeat(ptr[frontier], cnt) + offs
-        cand = nbr[slots]
-        ce = eidx[slots]
-        keep = ~visited[cand]
-        if block_edge is not None:
-            keep &= ce != block_edge
-        if allow is not None:
-            keep &= allow[cand]
-        cand = cand[keep]
-        ce = ce[keep]
-        src = rep_src[keep]
-        if cand.size == 0:
-            break
-        visited[cand] = True
-        dist[cand] = dist[src] + length[ce]
-        parent[cand] = src
-        pedge[cand] = ce
-        if lab is not None:
-            lab[cand] = lab[src]
-        chunks.append(cand)
-        frontier = cand
-    order = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    levels = np.array([c.size for c in chunks], dtype=np.int64)
-    return Sweep(dist, parent, pedge, order, levels, lab)
+    rows = vals.reshape(-1, n)
+    ends = (np.arange(rows.shape[0])[:, None] * (n + 1) + tree._pos.end).ravel()
+    left = np.bincount(ends, rows.ravel(), rows.size + rows.shape[0]).reshape(-1, n + 1)[:, :n]
+    np.subtract(rows, left, out=left)
+    return np.cumsum(left, axis=-1, out=left).reshape(vals.shape)
+
+
+def dist_sums(tree: WeightedTree, wm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S[j, x] = sum_v wm[j, v] * d(v, x) for (k, n) weight rows in preorder
+    positions, and the rows' subtree sums: with d = dep[v] + dep[x] -
+    2*dep[lca], sum_v wm[v]*dep[lca] is a root-path sum of sub * plen."""
+    pos = tree._pos
+    sub = subtree_sums(tree, wm)
+    S = root_path_sums(tree, sub * pos.plen)
+    S *= -2.0
+    S += sub[:, :1] * pos.dep
+    S += (wm @ pos.dep)[:, None]
+    return S, sub
+
+
+def distances(tree: WeightedTree, sources) -> np.ndarray:
+    """(k, n) distances from each 0-based source to every vertex, by vertex
+    id: dist_sums of one-hot rows."""
+    S, _ = dist_sums(tree, (tree.tin[np.atleast_1d(sources), None] == np.arange(tree.n)) * 1.0)
+    return np.take(S, tree.tin, axis=-1)
+
+
+def lower_end(tree: WeightedTree, e):
+    """The endpoint of edge e (an index or an index array) below it, the
+    one whose parent edge is e."""
+    return np.where(tree.pedge[tree.eu[e]] == e, tree.eu[e], tree.ev[e])
+
+
+def cut_blocks(tree: WeightedTree) -> Iterator[tuple[np.ndarray, ...]]:
+    """Every edge deletion in blocks of about _BLOCK elements: (edges, in_a,
+    sub, S), where row j masks edges[j]'s side holding eu in preorder
+    positions, with that side's weight subtree sums and distance sums (the
+    other side's are the whole tree's minus these)."""
+    n = tree.n
+    edges = np.arange(n - 1)
+    low = lower_end(tree, edges)
+    start, stop = tree.tin[low], tree.tout[low]
+    flip = (low != tree.eu)[:, None]
+    w = tree.w[tree.preorder]
+    pos = np.arange(n)
+    k = max(1, _BLOCK // n)
+    for s in range(0, n - 1, k):
+        rows = slice(s, s + k)
+        in_a = ((pos >= start[rows, None]) & (pos < stop[rows, None])) ^ flip[rows]
+        S, sub = dist_sums(tree, np.where(in_a, w, 0.0))
+        yield edges[rows], in_a, sub, S
 
 
 def dist(tree: WeightedTree, a: int, b: int) -> float:
     """Unique-path distance between 1-based vertices a and b."""
     if not (1 <= a <= tree.n and 1 <= b <= tree.n):
         raise PreconditionError("vertex id out of range")
-    return float(_sweep(tree, np.array([a - 1]))[0][b - 1])
+    return float(distances(tree, a - 1)[0, b - 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +276,8 @@ class EdgeBipartition:
 def split_by_edge(tree: WeightedTree, e: int) -> EdgeBipartition:
     if not (0 <= e < tree.n - 1):
         raise PreconditionError(f"edge index {e} out of range")
-    reach = _sweep(tree, np.array([tree.eu[e]]), block_edge=e)
-    in_a = np.isfinite(reach.dist)
+    low = lower_end(tree, e)
+    in_a = ((tree.tin >= tree.tin[low]) & (tree.tin < tree.tout[low])) ^ (low != tree.eu[e])
     side_a = np.flatnonzero(in_a) + 1
     side_b = np.flatnonzero(~in_a) + 1
     w_a = float(tree.w[in_a].sum())
@@ -236,51 +305,38 @@ class PathDescriptor:
         return int(self.vertices.size)
 
 
-def _chase(sweep: Sweep, stop: int, start: int) -> tuple[list[int], list[int]]:
-    """Walk parent pointers from start (0-based) back to stop; returns the
-    vertex chain [start..stop] and the edges crossed."""
-    verts = [start]
-    edges = []
-    v = start
-    while v != stop:
-        edges.append(int(sweep.pedge[v]))
-        v = int(sweep.parent[v])
-        verts.append(v)
-    return verts, edges
-
-
-def _as_path(tree: WeightedTree, verts: list[int], edges: list[int]) -> PathDescriptor:
-    verts_arr = np.asarray(verts, dtype=np.int64)
-    edges_arr = np.asarray(edges, dtype=np.int64)
-    prefix = np.concatenate([[0.0], np.cumsum(tree.length[edges_arr])]) \
-        if edges_arr.size else np.zeros(1)
-    return PathDescriptor(verts_arr + 1, edges_arr, prefix)
+def _as_path(tree: WeightedTree, verts: np.ndarray, edges: np.ndarray) -> PathDescriptor:
+    prefix = np.concatenate([[0.0], np.cumsum(tree.length[edges])]) \
+        if edges.size else np.zeros(1)
+    return PathDescriptor(verts + 1, edges, prefix)
 
 
 def path_between(tree: WeightedTree, a: int, b: int) -> PathDescriptor:
-    """Path from 1-based vertex a to b, in that orientation."""
-    s = _sweep(tree, np.array([b - 1]))
-    verts, edges = _chase(s, b - 1, a - 1)
-    return _as_path(tree, verts, edges)
+    """Path from 1-based vertex a to b, in that orientation: up from a to
+    the lowest common ancestor, then down to b."""
+    tin, tout = tree.tin, tree.tout
+    over_a = (tin <= tin[a - 1]) & (tin[a - 1] < tout)
+    over_b = (tin <= tin[b - 1]) & (tin[b - 1] < tout)
+    common = np.flatnonzero(over_a & over_b)
+    top = common[np.argmax(tin[common])]
+    rise, fall = np.flatnonzero(over_a & ~over_b), np.flatnonzero(over_b & ~over_a)
+    verts = np.concatenate([rise[np.argsort(-tin[rise])], [top], fall[np.argsort(tin[fall])]])
+    # each vertex but the top meets its neighbour toward the top by its parent edge
+    return _as_path(tree, verts, tree.pedge[verts[verts != top]])
 
 
 def diameter(tree: WeightedTree) -> PathDescriptor:
     """A longest path in the tree by weighted distance.
 
-    Double sweep; np.argmax takes the first maximum, which resolves every
-    tie to the lexicographically smallest endpoint id pair (the farthest
-    set from any start vertex consists of longest-path endpoints only).
-    The result is oriented to start at its smaller endpoint id.
+    Double sweep from vertex 0 (whose distances are dep); np.argmax takes
+    the first maximum, which resolves every tie to the lexicographically
+    smallest endpoint id pair (the farthest set from any start vertex
+    consists of longest-path endpoints only).  The result is oriented to
+    start at its smaller endpoint id.
     """
-    d0 = _sweep(tree, np.array([0], dtype=np.int64)).dist
-    a = int(np.argmax(d0))
-    sa = _sweep(tree, np.array([a], dtype=np.int64))
-    b = int(np.argmax(sa.dist))
-    verts, edges = _chase(sa, a, b)
-    if min(a, b) == a:
-        verts.reverse()
-        edges.reverse()
-    return _as_path(tree, verts, edges)
+    a = int(np.argmax(tree.dep))
+    b = int(np.argmax(distances(tree, a)[0]))
+    return path_between(tree, min(a, b) + 1, max(a, b) + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,17 +364,29 @@ class CompressedPath:
 
 
 def compress_onto_path(tree: WeightedTree, p: PathDescriptor) -> CompressedPath:
-    m = p.m
+    """Anchor every vertex on path p: the deepest path vertex on its root
+    path, or else the path's top (its highest vertex).  The anchor's
+    position is a root-path sum of steps that telescope down the path."""
+    m, n = p.m, tree.n
     verts0 = p.vertices - 1
-    if verts0.min() < 0 or verts0.max() >= tree.n:
+    if verts0.min() < 0 or verts0.max() >= n:
         raise PreconditionError("path vertex out of range")
-    s = _sweep(tree, verts0, labels=np.arange(m, dtype=np.int64))
-    if s.order.size != tree.n:
+    a, b = verts0[:-1], verts0[1:]
+    if np.unique(verts0).size != m or np.any((tree.parent[a] != b) & (tree.parent[b] != a)):
         raise PreconditionError("path does not belong to the tree")
-    pos = s.label
-    w_hat = np.bincount(pos, weights=tree.w, minlength=m)
-    z_hat = np.bincount(pos, weights=tree.z, minlength=m)
-    hang_offset = float(np.dot(tree.w, s.dist))
+    spot = tree.tin[verts0]
+    top = int(spot.min())
+    step = np.zeros(n)
+    step[spot] = spot - tree._pos.up[spot]
+    step[top] = 0.0
+    step[0] += top              # every root path starts at the top
+    anchor = tree.preorder[root_path_sums(tree, step).astype(np.int64)][tree.tin]
+    label = np.empty(n, dtype=np.int64)
+    label[verts0] = np.arange(m)
+    w_hat = np.bincount(label[anchor], weights=tree.w, minlength=m)
+    z_hat = np.bincount(label[anchor], weights=tree.z, minlength=m)
+    d_top = distances(tree, tree.preorder[top])[0]
+    hang_offset = float(np.dot(tree.w, d_top - d_top[anchor]))
     return CompressedPath(p, w_hat, z_hat, hang_offset)
 
 
@@ -404,6 +472,8 @@ def parse_tree(text: str) -> WeightedTree:
             seen[vid - 1] = True
             w[vid - 1], t[vid - 1] = wv, tv
 
+    # the per-line rows are the largest objects here: let them go first
+    del rows, tail, seen_edges
     return WeightedTree(n, eu, ev, length, w, t)
 
 

@@ -35,3 +35,35 @@ def random_int_path(rng: random.Random, n: int):
     w = [rng.randint(1, 5) for _ in range(n)]
     t = [rng.randint(1, 5) for _ in range(n)]
     return build_tree(n, edges, lengths, w, t)
+
+
+SHAPES = ("path", "star", "caterpillar", "broom", "random")
+
+
+def shape_tree(rng: random.Random, kind: str, n: int, zero: bool = False):
+    """A tree of the given shape on n vertices, with its edges listed in a
+    shuffled order and each edge's endpoints in a random order.  Lengths,
+    weights and service times are integers in 1..5; with zero=True about a
+    third of the lengths and weights are 0 instead."""
+    if kind == "path":
+        parents = list(range(1, n))
+    elif kind == "star":
+        parents = [1] * (n - 1)
+    elif kind == "caterpillar":     # spine of about n/2, one leg per spine vertex
+        s = n - n // 2
+        parents = list(range(1, s)) + list(range(1, n - s + 1))
+    elif kind == "broom":           # handle of about n/2, bristles on its end
+        h = n - n // 2
+        parents = list(range(1, h)) + [h] * (n - h)
+    else:
+        parents = [rng.randint(1, i - 1) for i in range(2, n + 1)]
+    edges = [(p, v) if rng.random() < 0.5 else (v, p)
+             for p, v in zip(parents, range(2, n + 1))]
+    rng.shuffle(edges)
+
+    def draw(count):
+        return [0 if zero and rng.random() < 1 / 3 else rng.randint(1, 5)
+                for _ in range(count)]
+
+    t = [rng.randint(1, 5) for _ in range(n)]
+    return build_tree(n, edges, draw(n - 1), draw(n), t)

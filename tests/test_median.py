@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from treeloc import (PreconditionError, SolverConfig, brute_2median,
-                     build_tree, one_median, solve_balanced_2median,
-                     split_by_edge)
+from treeloc import (GenSpec, PreconditionError, SolverConfig, brute_2median,
+                     build_tree, gen_random_tree, one_median,
+                     solve_balanced_2median, split_by_edge)
+from treeloc.median import median_cut_table
 
-from conftest import random_int_tree
+from conftest import SHAPES, random_int_tree, shape_tree
 
 
 def test_one_median_whole_tree(t6):
@@ -104,3 +106,57 @@ def test_objective_recomposes(t6):
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
         sol = solve_balanced_2median(SolverConfig(lam), t6)
         assert sol.objective == lam * sol.f1 + (1.0 - lam) * sol.f5
+
+
+def _exact_median_pairs(tree):
+    """Per edge, the smallest id of each side's exact argmin set and the
+    exact f1, from Fraction distances over the tree's float lengths and
+    weights (no float sum is compared)."""
+    n = tree.n
+    adj = [[] for _ in range(n)]
+    for e in range(n - 1):
+        u, v, ln = int(tree.eu[e]), int(tree.ev[e]), Fraction(float(tree.length[e]))
+        adj[u].append((v, ln, e))
+        adj[v].append((u, ln, e))
+
+    def reach(s, banned=-1):
+        d = {s: Fraction(0)}
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y, ln, e in adj[x]:
+                if e != banned and y not in d:
+                    d[y] = d[x] + ln
+                    stack.append(y)
+        return d
+
+    D = [reach(s) for s in range(n)]
+    w = [Fraction(float(x)) for x in tree.w]
+    rows = []
+    for e in range(n - 1):
+        side_a = sorted(reach(int(tree.eu[e]), e))
+        side_b = sorted(set(range(n)) - set(side_a))
+        pair, f1 = [], Fraction(0)
+        for side in (side_a, side_b):
+            cost = {x: sum(w[v] * D[x][v] for v in side) for x in side}
+            best = min(cost.values())
+            pair.append(min(x for x in side if cost[x] == best) + 1)
+            f1 += best
+        rows.append((tuple(pair), f1))
+    return rows
+
+
+def _tie_cases():
+    for n, seed in ((12, 1), (20, 2), (31, 3), (40, 4)):
+        yield gen_random_tree(GenSpec(n, seed))        # float lengths, w = 5
+    rng = random.Random(404)
+    for kind in SHAPES:
+        yield shape_tree(rng, kind, rng.randint(8, 40), zero=True)
+
+
+def test_table_names_smallest_exact_median():
+    for tree in _tie_cases():
+        table = median_cut_table(tree)
+        for e, (pair, f1) in enumerate(_exact_median_pairs(tree)):
+            assert tuple(table.facilities[e]) == pair, (tree.n, e)
+            assert abs(table.transport[e] - float(f1)) <= 1e-9 * (1 + float(f1))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from treeloc import (PreconditionError, TreeParseError, WeightedTree,
-                     build_tree, compress_onto_path, diameter, dist,
-                     parse_tree, path_between, render_tree, split_by_edge)
+                     all_pairs_dist, build_tree, compress_onto_path, diameter,
+                     dist, one_median, parse_tree, path_between, render_tree,
+                     split_by_edge)
+from treeloc.tree import dist_sums, distances
 
-from conftest import random_int_tree
+from conftest import SHAPES, random_int_tree, shape_tree
 
 
 def test_parse_t6_fixture(t6):
@@ -61,6 +63,14 @@ def test_parse_errors_name_the_line():
     ("3\n1 2 1\n2 4 1\n", "out of range"),
     ("3\n1 2 1\n2 3 -1\n", "non-negative"),
     ("4\n1 2 1\n2 3 1\n1 3 1\n", "connect"),
+    # a cycle beside a path, either one holding vertex 1, and an isolated
+    # vertex 1; the last edge set is two triangles at vertex 1 whose arcs
+    # interleave around it, so the tour from vertex 1 runs through every
+    # arc and only the isolated vertices 6 and 7 show it is not a tree
+    ("6\n1 2 1\n2 3 1\n1 3 1\n4 5 1\n5 6 1\n", "does not connect all vertices"),
+    ("6\n4 5 1\n5 6 1\n4 6 1\n1 2 1\n2 3 1\n", "does not connect all vertices"),
+    ("4\n4 2 1\n2 3 1\n4 3 1\n", "does not connect all vertices"),
+    ("7\n1 2 1\n1 4 1\n1 3 1\n1 5 1\n2 3 1\n4 5 1\n", "does not connect all vertices"),
     ("3\n1 2 1\n2 3 1\n1 1 1\n", "vertex lines"),
     ("3\n1 2 1\n2 3 1\n1 1 1\n1 2 1\n3 1 1\n", "twice"),
     ("3\n1 2 1\n2 3 1\n1 -1 1\n2 1 1\n3 1 1\n", "non-negative"),
@@ -187,3 +197,84 @@ def test_compress_mass_is_conserved():
         cp = compress_onto_path(tree, diameter(tree))
         assert cp.W == float(tree.w.sum())
         assert cp.Z == tree.Z
+
+
+def _kernel_cases():
+    """Every shape at n = 1, 2 and up to 16 vertices, with and without
+    zero-length edges, edges and endpoints shuffled."""
+    rng = random.Random(5150)
+    for kind in SHAPES:
+        for n in (1, 2, 3, 5, 9, 16):
+            for zero in (False, True):
+                yield shape_tree(rng, kind, n, zero)
+
+
+def test_depth_and_distances_match_all_pairs_oracle():
+    rng = random.Random(8)
+    for tree in _kernel_cases():
+        D = all_pairs_dist(tree)
+        assert np.array_equal(tree.dep, D[0])
+        assert np.array_equal(distances(tree, np.arange(tree.n)), D)
+        # distance sums of a block of weight rows, in preorder positions
+        W = np.array([[rng.randint(0, 5) for _ in range(tree.n)] for _ in range(3)], dtype=float)
+        S, sub = dist_sums(tree, W[:, tree.preorder])
+        assert np.array_equal(S[:, tree.tin], W @ D)
+        assert np.array_equal(sub[:, 0], W.sum(axis=1))
+
+
+def test_intervals_nest_and_match_parent():
+    for tree in _kernel_cases():
+        n = tree.n
+        tin, tout, parent = tree.tin, tree.tout, tree.parent
+        assert tree.preorder[0] == 0 and parent[0] == -1 and tree.pedge[0] == -1
+        assert np.array_equal(tree.preorder[tin], np.arange(n))
+        assert tin[0] == 0 and tout[0] == n
+        size = np.ones(n, dtype=np.int64)
+        for v in range(1, n):
+            p = parent[v]
+            e = tree.pedge[v]
+            assert {int(tree.eu[e]), int(tree.ev[e])} == {v, int(p)}
+            assert tin[p] < tin[v] < tout[v] <= tout[p]
+            a = p
+            while a != -1:         # every ancestor's interval holds v
+                size[a] += 1
+                a = parent[a]
+        assert np.array_equal(tout - tin, size)
+        # intervals nest or are disjoint: the vertices inside v's interval
+        # are exactly those with v on their root path
+        for v in range(n):
+            inside = (tin >= tin[v]) & (tin < tout[v])
+            assert np.count_nonzero(inside) == size[v]
+
+
+@pytest.mark.parametrize("kind", SHAPES)
+def test_traversal_agrees_with_scipy(kind):
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    n = 10_000
+    tree = shape_tree(random.Random(77), kind, n)
+    u = np.concatenate([tree.eu, tree.ev])
+    v = np.concatenate([tree.ev, tree.eu])
+    graph = sparse.csr_matrix((np.concatenate([tree.length] * 2), (u, v)),
+                              shape=(n, n))
+    order, pred = csgraph.depth_first_order(graph, 0, directed=False)
+    assert order.size == n
+    assert np.array_equal(np.where(pred < 0, -1, pred), tree.parent)
+    size = np.ones(n, dtype=np.int64)
+    for x in order[:0:-1]:
+        size[pred[x]] += size[x]
+    assert np.array_equal(tree.tout - tree.tin, size)
+    src = [0, 1234, n - 1]
+    far = csgraph.dijkstra(graph, directed=False, indices=src)
+    assert np.array_equal(far[0], tree.dep)
+    assert np.array_equal(far, distances(tree, src))
+
+
+def test_one_median_rejects_disconnected_side_on_every_shape():
+    rng = random.Random(12)
+    for kind in SHAPES:
+        tree = shape_tree(rng, kind, 9)
+        leaves = np.flatnonzero(tree.deg == 1) + 1
+        with pytest.raises(PreconditionError, match="connected"):
+            one_median(tree, side=leaves[:2])
+        assert one_median(tree, side=leaves[:1])[0] == leaves[0]
