@@ -16,7 +16,7 @@ from .errors import ConfigError, PreconditionError, TreeParseError
 from .experiments import (ExperimentRecord, GenSpec, allocation_report,
                           check_method, check_problem, emit_csv,
                           gen_random_tree, lambda_sweep, make_record,
-                          pareto_front, sweep_solutions)
+                          pareto_front, record_fields, sweep_solutions)
 from .objectives import SolverConfig
 from .oracle import DEFAULT_CAP, brute_2maxian, brute_2median
 from .tree import _fmt, parse_tree, render_tree
@@ -92,17 +92,6 @@ def _load_tree(path: str):
         return parse_tree(fh.read())
 
 
-def _record_dict(r: ExperimentRecord) -> dict:
-    return {
-        "test": r.test_id, "n": r.n, "seed": r.seed, "problem": r.problem,
-        "method": r.method, "lambda": r.lam, "transport": r.transport,
-        "f5": r.f5, "objective": r.objective,
-        "edge_u": r.edge_uv[0], "edge_v": r.edge_uv[1],
-        "fac1": r.facilities[0], "fac2": r.facilities[1],
-        "runtime_ms": r.runtime_ms,
-    }
-
-
 def _records_csv(records: list[ExperimentRecord]) -> str:
     buf = io.StringIO()
     emit_csv(records, buf)
@@ -139,7 +128,7 @@ def _emit(args, text: str, payload, csv_text: str) -> int:
 
 
 def _emit_record(args, rec: ExperimentRecord) -> int:
-    return _emit(args, _summary(rec), _record_dict(rec), _records_csv([rec]))
+    return _emit(args, _summary(rec), record_fields(rec), _records_csv([rec]))
 
 
 def _parse_lambdas(text: str) -> list[float]:
@@ -182,7 +171,7 @@ def _cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     sol = brute(cfg, tree, cap=args.cap)
     ms = (time.perf_counter() - t0) * 1e3
-    return _emit_record(args, make_record(sol, cfg.lam, tree.n, ms, "brute"))
+    return _emit_record(args, make_record(sol, cfg.lam, tree.n, ms))
 
 
 def _cmd_sweep(args) -> int:
@@ -199,7 +188,7 @@ def _cmd_sweep(args) -> int:
             f"transport {_fmt(r.transport)} f5 {_fmt(r.f5)} "
             f"edge ({r.edge_uv[0]},{r.edge_uv[1]}) "
             f"facilities ({r.facilities[0]},{r.facilities[1]})")
-    payload = [_record_dict(r) for r in records]
+    payload = [record_fields(r) for r in records]
     return _emit(args, "\n".join(lines),
                  payload[0] if len(payload) == 1 else payload,
                  _records_csv(records))
@@ -238,7 +227,7 @@ def _cmd_report(args) -> int:
     tree, rec, sol = _solve_once(args, args.problem)
     dev = allocation_report(sol, tree)
     return _emit(args, _summary(rec) + f"\ndeviations {dev}",
-                 {**_record_dict(rec), "deviations": dev},
+                 {**record_fields(rec), "deviations": dev},
                  "problem,method,lambda,deviations\n"
                  f"{rec.problem},{rec.method},{_fmt(rec.lam)},{dev}")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -9,10 +10,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .maxian import (MaxianSolution, cubic_cut_table, linear_cut_table,
-                     maxian_solution)
-from .median import MedianSolution, median_cut_table, median_solution
-from .objectives import TOLERANCE, SolverConfig, objective
+from .maxian import cubic_cut_table, linear_cut_table
+from .median import median_cut_table
+from .objectives import TOLERANCE, Solution, SolverConfig, objective
 from .tree import WeightedTree, _fmt, distances, split_by_edge
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -78,6 +78,8 @@ class GenSpec:
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
         if not (0.0 <= self.length_min <= self.length_max):
             raise ConfigError("need 0 <= length_min <= length_max")
+        if not math.isfinite(self.length_max):
+            raise ConfigError("length bounds must be finite")
         if self.weight_mode not in ("fixed", "uniform"):
             raise ConfigError(f"unknown weight_mode {self.weight_mode!r}")
         if self.service_mode not in ("fixed", "uniform"):
@@ -133,17 +135,12 @@ class ExperimentRecord:
                 f"components ({expect} expected)")
 
 
-def make_record(sol: MedianSolution | MaxianSolution, lam: float, n: int,
-                runtime_ms: float, method: str | None = None,
+def make_record(sol: Solution, lam: float, n: int, runtime_ms: float,
                 test_id: int = 0, seed: int = 0) -> ExperimentRecord:
-    """The record of one solution; method defaults to the one that produced
-    it (edge-deletion for the median)."""
-    median = isinstance(sol, MedianSolution)
-    return ExperimentRecord(
-        test_id, n, seed, "median" if median else "maxian",
-        method or ("edge-deletion" if median else sol.method), lam,
-        sol.f1 if median else sol.f2, sol.f5, sol.objective, sol.edge_uv,
-        sol.medians if median else sol.facilities, runtime_ms)
+    """The record of one solution at lam."""
+    return ExperimentRecord(test_id, n, seed, sol.problem, sol.method, lam,
+                            sol.transport, sol.f5, sol.objective, sol.edge_uv,
+                            sol.facilities, runtime_ms)
 
 
 def check_problem(problem: str):
@@ -156,19 +153,19 @@ def check_method(method: str):
         raise ConfigError(f"unknown method {method!r}; expected linear or cubic")
 
 
-# (problem, method) -> (builder of the lambda-independent cut table, best cut
-# of such a table as a solution); the median has one method under both names
+# (problem, method) -> builder of the lambda-independent cut table; the
+# median has one method under both names
 SOLVERS = {
-    ("median", "linear"): (median_cut_table, median_solution),
-    ("median", "cubic"): (median_cut_table, median_solution),
-    ("maxian", "linear"): (linear_cut_table, maxian_solution),
-    ("maxian", "cubic"): (cubic_cut_table, maxian_solution),
+    ("median", "linear"): median_cut_table,
+    ("median", "cubic"): median_cut_table,
+    ("maxian", "linear"): linear_cut_table,
+    ("maxian", "cubic"): cubic_cut_table,
 }
 
 
 def sweep_solutions(tree: WeightedTree, problem: str, lambdas: Iterable[float],
                     method: str = "linear", test_id: int = 0, seed: int = 0
-                    ) -> list[tuple[ExperimentRecord, MedianSolution | MaxianSolution]]:
+                    ) -> list[tuple[ExperimentRecord, Solution]]:
     """(record, solution) per lambda, all picked from one cut table.
 
     The problem, the method and every lambda are checked before any work.
@@ -179,12 +176,12 @@ def sweep_solutions(tree: WeightedTree, problem: str, lambdas: Iterable[float],
     cfgs = [SolverConfig(float(lam)) for lam in lambdas]
     if not cfgs:
         return []
-    build, pick = SOLVERS[problem, method]
+    build = SOLVERS[problem, method]
     out = []
     t0 = time.perf_counter()
     table = build(tree)
     for cfg in cfgs:
-        sol = pick(table, cfg.lam, tree)
+        sol = table.pick(cfg.lam, tree)
         ms = (time.perf_counter() - t0) * 1e3
         out.append((make_record(sol, cfg.lam, tree.n, ms, test_id=test_id,
                                 seed=seed), sol))
@@ -220,28 +217,30 @@ def pareto_front(tree: WeightedTree, problem: str,
     return sorted(p for p in points if not any(dominates(q, p) for q in points))
 
 
-def allocation_report(solution: MedianSolution | MaxianSolution,
-                      tree: WeightedTree) -> int:
+def allocation_report(solution: Solution, tree: WeightedTree) -> int:
     """Number of vertices not served by their nearest facility (median) or
     not served by their farthest facility (maxian), strictly."""
     bip = split_by_edge(tree, solution.deleted_edge)
-    if isinstance(solution, MedianSolution):
-        serve_a, serve_b = solution.medians
-        farthest = False
-    else:
-        x1, x2 = solution.facilities
-        serve_a, serve_b = x2, x1
-        farthest = True
+    x1, x2 = solution.facilities
+    median = solution.problem == "median"
+    # the median's x1 serves side a, the maxian's x1 side b
+    serve_a, serve_b = (x1, x2) if median else (x2, x1)
     da, db = distances(tree, [serve_a - 1, serve_b - 1])
     serving = np.where(bip._in_a, da, db)
     other = np.where(bip._in_a, db, da)
-    if farthest:
-        return int(np.count_nonzero(other > serving))
-    return int(np.count_nonzero(other < serving))
+    return int(np.count_nonzero(other < serving if median else other > serving))
 
 
-CSV_HEADER = ("test,n,seed,problem,method,lambda,transport,f5,objective,"
-              "edge_u,edge_v,fac1,fac2,runtime_ms")
+COLUMNS = ("test", "n", "seed", "problem", "method", "lambda", "transport", "f5",
+           "objective", "edge_u", "edge_v", "fac1", "fac2", "runtime_ms")
+CSV_HEADER = ",".join(COLUMNS)
+
+
+def record_fields(r: ExperimentRecord) -> dict:
+    """The record's columns, by name, in the order CSV and JSON write them."""
+    return dict(zip(COLUMNS, (r.test_id, r.n, r.seed, r.problem, r.method, r.lam,
+                              r.transport, r.f5, r.objective, *r.edge_uv,
+                              *r.facilities, r.runtime_ms)))
 
 
 def emit_csv(records: Sequence[ExperimentRecord], sink) -> None:
@@ -249,13 +248,8 @@ def emit_csv(records: Sequence[ExperimentRecord], sink) -> None:
     file-like.  Floats use shortest round-trip formatting; lines end in LF."""
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(",".join([
-            str(r.test_id), str(r.n), str(r.seed), r.problem, r.method,
-            _fmt(r.lam), _fmt(r.transport), _fmt(r.f5), _fmt(r.objective),
-            str(r.edge_uv[0]), str(r.edge_uv[1]),
-            str(r.facilities[0]), str(r.facilities[1]),
-            _fmt(r.runtime_ms),
-        ]))
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                              for v in record_fields(r).values()))
     text = "\n".join(lines) + "\n"
     if hasattr(sink, "write"):
         sink.write(text)

@@ -9,31 +9,13 @@ the deletions along the diameter path from prefix sums.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .objectives import (TOLERANCE, CutTable, SolverConfig, cut_imbalance,
-                         objective)
+from .objectives import CutTable, Solution, SolverConfig, cut_imbalance, objective
 from .tree import (CompressedPath, WeightedTree, compress_onto_path, cut_blocks,
-                   diameter, dist_sums, distances, split_by_edge)
-
-
-@dataclass(frozen=True, eq=False)
-class MaxianSolution:
-    """deleted_edge is the 0-based input edge index, edge_uv its 1-based
-    endpoints.  facilities = (x1, x2): x1 serves the side containing the
-    larger endpoint of the deleted edge, x2 the other side.  objective =
-    lam*f2 - (1-lam)*f5.  method records which algorithm produced it."""
-
-    deleted_edge: int
-    edge_uv: tuple[int, int]
-    facilities: tuple[int, int]
-    f2: float
-    f5: float
-    objective: float
-    method: str
+                   diameter, dist_sums)
 
 
 def _best_pairs(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -74,7 +56,7 @@ def cubic_cut_table(tree: WeightedTree) -> CutTable:
         B = np.take(S, tree.tin, axis=1)        # distance sums to side a, which x2 serves
         x1, x2, f2[edges] = _best_pairs(S_all - B, B)
         pairs[edges] = np.column_stack([x1, x2]) + 1
-    return CutTable(np.arange(tree.n - 1), f2, cut_imbalance(tree), pairs, "cubic")
+    return CutTable("maxian", "cubic", np.arange(tree.n - 1), f2, cut_imbalance(tree), pairs)
 
 
 def _path_terms(cp: CompressedPath) -> tuple[np.ndarray, np.ndarray]:
@@ -131,37 +113,16 @@ def linear_cut_table(tree: WeightedTree) -> CutTable:
     prefix_holds_smaller = tree.eu[edges] + 1 == pv[:-1]
     x1 = np.where(prefix_holds_smaller, pv[0], pv[-1])
     x2 = np.where(prefix_holds_smaller, pv[-1], pv[0])
-    return CutTable(edges, transport, f5, np.column_stack([x1, x2]), "linear")
+    return CutTable("maxian", "linear", edges, transport, f5, np.column_stack([x1, x2]))
 
 
-def maxian_solution(table: CutTable, lam: float, tree: WeightedTree) -> MaxianSolution:
-    """The best cut of a maxian table at lam.  A linear table's path terms
-    round differently from the tree's own sums, so the picked cut's f2 and
-    f5 are recomputed from distances, once per picked edge of the table,
-    and the objective from them."""
-    e, (x1, x2), f2, f5, obj = table.best(lam, "maxian")
-    if table.method == "linear":
-        if e not in table.recomputed:
-            bip = split_by_edge(tree, e)
-            in_a = bip._in_a
-            d1, d2 = distances(tree, [x1 - 1, x2 - 1])
-            table.recomputed[e] = (
-                float(np.dot(tree.w[~in_a], d1[~in_a]))
-                + float(np.dot(tree.w[in_a], d2[in_a])), abs(bip.z_a - bip.z_b))
-        f2, f5 = table.recomputed[e]
-        path_obj, obj = obj, objective(lam, f2, f5, "maxian")
-        assert abs(obj - path_obj) <= TOLERANCE * (1.0 + abs(path_obj)), \
-            "path objective disagrees with component recomputation"
-    return MaxianSolution(e, tree.edge_tuple(e), (x1, x2), f2, f5, obj, table.method)
-
-
-def solve_balanced_2maxian_cubic(cfg: SolverConfig, tree: WeightedTree) -> MaxianSolution:
+def solve_balanced_2maxian_cubic(cfg: SolverConfig, tree: WeightedTree) -> Solution:
     """Exact reference: the best cut of the cubic table.  Ties go to the
     smallest edge index, then the smallest facility pair."""
-    return maxian_solution(cubic_cut_table(tree), cfg.lam, tree)
+    return cubic_cut_table(tree).pick(cfg.lam, tree)
 
 
-def solve_balanced_2maxian_linear(cfg: SolverConfig, tree: WeightedTree) -> MaxianSolution:
+def solve_balanced_2maxian_linear(cfg: SolverConfig, tree: WeightedTree) -> Solution:
     """Diameter-endpoint heuristic: the best cut of the linear table (the
     cubic table, with a warning, when an edge has zero length)."""
-    return maxian_solution(linear_cut_table(tree), cfg.lam, tree)
+    return linear_cut_table(tree).pick(cfg.lam, tree)

@@ -3,29 +3,13 @@ each side, and pick the cut that scalarizes best with the balance term."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .errors import PreconditionError
-from .objectives import CutTable, SolverConfig, cut_imbalance
+from .objectives import CutTable, Solution, SolverConfig, cut_imbalance
 from .tree import WeightedTree, cut_blocks, dist_sums, root_path_sums
-
-
-@dataclass(frozen=True, eq=False)
-class MedianSolution:
-    """deleted_edge is the 0-based input edge index, edge_uv its 1-based
-    endpoints.  medians = (m1, m2): m1 serves the side containing the
-    smaller endpoint and is a 1-median of it.  objective = lam*f1 +
-    (1-lam)*f5."""
-
-    deleted_edge: int
-    edge_uv: tuple[int, int]
-    medians: tuple[int, int]
-    f1: float
-    f5: float
-    objective: float
 
 
 def _one_median_swept(tree: WeightedTree, side: np.ndarray, sub: np.ndarray) -> np.ndarray:
@@ -89,18 +73,12 @@ def median_cut_table(tree: WeightedTree) -> CutTable:
         rows, x1, x2 = np.arange(edges.size), tree.tin[m1], tree.tin[m2]
         f1[edges] = S[rows, x1] + (S_all[0, x2] - S[rows, x2])
         medians[edges] = np.column_stack([m1, m2]) + 1
-    return CutTable(np.arange(tree.n - 1), f1, cut_imbalance(tree), medians,
-                    "edge-deletion")
+    return CutTable("median", "edge-deletion", np.arange(tree.n - 1), f1,
+                    cut_imbalance(tree), medians)
 
 
-def median_solution(table: CutTable, lam: float, tree: WeightedTree) -> MedianSolution:
-    """The best cut of a median table at lam."""
-    e, medians, f1, f5, obj = table.best(lam, "median")
-    return MedianSolution(e, tree.edge_tuple(e), medians, f1, f5, obj)
-
-
-def solve_balanced_2median(cfg: SolverConfig, tree: WeightedTree) -> MedianSolution:
+def solve_balanced_2median(cfg: SolverConfig, tree: WeightedTree) -> Solution:
     """Try every edge deletion; on each side solve a fresh 1-median; return
     the bipartition minimizing lam*f1 + (1-lam)*f5.  Ties go to the
     smallest edge index (per-side medians are already deterministic)."""
-    return median_solution(median_cut_table(tree), cfg.lam, tree)
+    return median_cut_table(tree).pick(cfg.lam, tree)

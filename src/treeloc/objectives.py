@@ -1,5 +1,6 @@
 """Objective evaluators for facility pairs on an edge-induced bipartition,
-and the per-cut table every solver picks its answer from.
+the per-cut table every solver picks its answer from, and the one
+solution type every solver and oracle returns.
 
 The scalarized objectives are always computed with the same expression
 shape, lam*(transport) +/- (1.0-lam)*balance, so that independent routes
@@ -39,37 +40,84 @@ def objective(lam: float, transport, f5, problem: str):
     return lam * transport - (1.0 - lam) * f5
 
 
+# per-problem names for transport and facilities that callers may still read
+_ALIASES = {"median": {"medians": "facilities", "f1": "transport"},
+            "maxian": {"f2": "transport"}}
+
+
+@dataclass(frozen=True, eq=False)
+class Solution:
+    """The best cut of one problem at one lambda.
+
+    deleted_edge is the 0-based input edge index, edge_uv its 1-based
+    endpoints.  facilities = (x1, x2): for the median x1 is a 1-median of
+    the side containing the smaller endpoint, x2 of the other side; for the
+    maxian x1 serves the side containing the larger endpoint, x2 the other
+    side.  transport is f1 (median) or f2 (maxian), and objective is
+    objective(lam, transport, f5, problem).  method records which algorithm
+    produced it.  Median solutions also answer medians and f1, maxian ones
+    f2, as read-only aliases."""
+
+    problem: str
+    method: str
+    deleted_edge: int
+    edge_uv: tuple[int, int]
+    facilities: tuple[int, int]
+    transport: float
+    f5: float
+    objective: float
+
+    def __getattr__(self, name):
+        alias = _ALIASES.get(vars(self).get("problem"), {}).get(name)
+        if alias is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        return getattr(self, alias)
+
+
 @dataclass(frozen=True, eq=False)
 class CutTable:
     """The lambda-independent terms of every cut a solver considers.
 
     Row k deletes tree edge edges[k]; transport[k] is its f1 (median) or f2
     (maxian), f5[k] its imbalance and facilities[k] the 1-based pair a
-    solution reports for it.  method names the algorithm that filled the
-    table.  Only the weighting of the two terms depends on lambda, so one
-    table answers every lambda.  recomputed keeps the (transport, f5) a
-    pick recomputed from the tree, by edge, for picks at other lambdas.
+    solution reports for it.  problem is "median" or "maxian"; method names
+    the algorithm that filled the table.  Only the weighting of the two
+    terms depends on lambda, so one table answers every lambda.  recomputed
+    keeps the (transport, f5) a pick recomputed from the tree, by edge, for
+    picks at other lambdas.
     """
 
+    problem: str
+    method: str
     edges: np.ndarray
     transport: np.ndarray
     f5: np.ndarray
     facilities: np.ndarray
-    method: str
     recomputed: dict = field(default_factory=dict, repr=False)
 
-    def best(self, lam: float,
-             problem: str) -> tuple[int, tuple[int, int], float, float, float]:
-        """(edge, facilities, transport, f5, objective) of the best cut at
-        lam: the minimum for the median, the maximum for the maxian.  Ties
-        go to the smallest edge index."""
-        obj = objective(lam, self.transport, self.f5, problem)
-        top = obj.min() if problem == "median" else obj.max()
+    def pick(self, lam: float, tree: WeightedTree) -> Solution:
+        """The best cut at lam: the minimum for the median, the maximum for
+        the maxian, the smallest edge index among ties.  A linear table's
+        path terms round differently from the tree's own sums, so
+        eval_transport and eval_f5 recompute its picked cut, once per edge,
+        and the objective comes from them."""
+        obj = objective(lam, self.transport, self.f5, self.problem)
+        top = obj.min() if self.problem == "median" else obj.max()
         rows = np.flatnonzero(obj == top)
         k = rows[np.argmin(self.edges[rows])]
-        a, b = self.facilities[k]
-        return (int(self.edges[k]), (int(a), int(b)), float(self.transport[k]),
-                float(self.f5[k]), float(obj[k]))
+        e, (x1, x2) = int(self.edges[k]), (int(x) for x in self.facilities[k])
+        transport, f5, value = float(self.transport[k]), float(self.f5[k]), float(obj[k])
+        if self.method == "linear":
+            if e not in self.recomputed:
+                cut = maxian_assignment(tree, e, x1, x2)
+                self.recomputed[e] = eval_transport(tree, cut), eval_f5(cut.partition)
+            transport, f5 = self.recomputed[e]
+            path_value, value = value, objective(lam, transport, f5, self.problem)
+            assert abs(value - path_value) <= TOLERANCE * (1.0 + abs(path_value)), \
+                "path objective disagrees with component recomputation"
+        return Solution(self.problem, self.method, e, tree.edge_tuple(e), (x1, x2),
+                        transport, f5, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,14 +209,12 @@ def eval_f5(partition: EdgeBipartition) -> float:
 def eval_fpmed(cfg: SolverConfig, tree: WeightedTree, assignment: Assignment) -> float:
     if assignment.mode != "median":
         raise PreconditionError("eval_fpmed needs a median-mode assignment")
-    lam = cfg.lam
-    return lam * eval_transport(tree, assignment) \
-        + (1.0 - lam) * eval_f5(assignment.partition)
+    return objective(cfg.lam, eval_transport(tree, assignment),
+                     eval_f5(assignment.partition), "median")
 
 
 def eval_fpmax(cfg: SolverConfig, tree: WeightedTree, assignment: Assignment) -> float:
     if assignment.mode != "maxian":
         raise PreconditionError("eval_fpmax needs a maxian-mode assignment")
-    lam = cfg.lam
-    return lam * eval_transport(tree, assignment) \
-        - (1.0 - lam) * eval_f5(assignment.partition)
+    return objective(cfg.lam, eval_transport(tree, assignment),
+                     eval_f5(assignment.partition), "maxian")

@@ -10,9 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError
-from .maxian import MaxianSolution
-from .median import MedianSolution
-from .objectives import SolverConfig
+from .objectives import Solution, SolverConfig
 from .tree import CompressedPath, WeightedTree
 
 DEFAULT_CAP = 16
@@ -65,7 +63,7 @@ def _check_cap(tree: WeightedTree, cap: int):
 
 
 def brute_2median(cfg: SolverConfig, tree: WeightedTree,
-                  cap: int = DEFAULT_CAP) -> MedianSolution:
+                  cap: int = DEFAULT_CAP) -> Solution:
     """Exact optimum of the balanced 2-median objective by enumerating every
     edge and every facility vertex inside each side."""
     _check_cap(tree, cap)
@@ -98,11 +96,11 @@ def brute_2median(cfg: SolverConfig, tree: WeightedTree,
         if best is None or obj < best[0]:
             best = (obj, e, m1 + 1, m2 + 1, f1, f5)
     obj, e, m1, m2, f1, f5 = best
-    return MedianSolution(e, tree.edge_tuple(e), (m1, m2), f1, f5, obj)
+    return Solution("median", "brute", e, tree.edge_tuple(e), (m1, m2), f1, f5, obj)
 
 
 def brute_2maxian(cfg: SolverConfig, tree: WeightedTree,
-                  cap: int = DEFAULT_CAP) -> MaxianSolution:
+                  cap: int = DEFAULT_CAP) -> Solution:
     """Exact optimum of the balanced 2-maxian objective by enumerating every
     edge and every ordered facility pair under masked weights (x1 scores the
     larger-endpoint side, x2 the other; x1 != x2).  The flat argmax over the
@@ -134,7 +132,7 @@ def brute_2maxian(cfg: SolverConfig, tree: WeightedTree,
         if best is None or obj > best[0]:
             best = (obj, e, x1 + 1, x2 + 1, f2, f5)
     obj, e, x1, x2, f2, f5 = best
-    return MaxianSolution(e, tree.edge_tuple(e), (x1, x2), f2, f5, obj, "cubic")
+    return Solution("maxian", "brute", e, tree.edge_tuple(e), (x1, x2), f2, f5, obj)
 
 
 def brute_path_fpmax(cfg: SolverConfig, cp: CompressedPath) -> list[tuple[int, float]]:

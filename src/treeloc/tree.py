@@ -314,6 +314,8 @@ def _as_path(tree: WeightedTree, verts: np.ndarray, edges: np.ndarray) -> PathDe
 def path_between(tree: WeightedTree, a: int, b: int) -> PathDescriptor:
     """Path from 1-based vertex a to b, in that orientation: up from a to
     the lowest common ancestor, then down to b."""
+    if not (1 <= a <= tree.n and 1 <= b <= tree.n):
+        raise PreconditionError("vertex id out of range")
     tin, tout = tree.tin, tree.tout
     over_a = (tin <= tin[a - 1]) & (tin[a - 1] < tout)
     over_b = (tin <= tin[b - 1]) & (tin[b - 1] < tout)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -193,6 +194,7 @@ def test_report_csv(tmp_path, capsys):
     (["sweep", "median", "--lambdas", "a,b", "--input", "IN"], 3),
     (["sweep", "median", "--lambdas", ",", "--input", "IN"], 3),
     (["gen", "--n", "0"], 3),
+    (["gen", "--n", "5", "--length-max", "inf"], 3),
 ])
 def test_config_errors(argv, code, capsys):
     argv = [T6 if a == "IN" else a for a in argv]
@@ -235,3 +237,75 @@ def test_help_and_usage_exits(capsys):
     assert run([]) == 2
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+CSV_HEAD = ("test,n,seed,problem,method,lambda,transport,f5,objective,"
+            "edge_u,edge_v,fac1,fac2,runtime_ms\n")
+
+# --output files on t6b, byte for byte, with runtime_ms masked as X
+GOLDEN = [
+    (["solve-maxian", "--lambda", "0.5"], "json",
+     '{\n  "test": 0,\n  "n": 6,\n  "seed": 0,\n'
+     '  "problem": "maxian",\n  "method": "linear",\n'
+     '  "lambda": 0.5,\n  "transport": 24.0,\n  "f5": 0.0,\n'
+     '  "objective": 12.0,\n  "edge_u": 3,\n  "edge_v": 4,\n'
+     '  "fac1": 1,\n  "fac2": 5,\n  "runtime_ms": X\n}\n'),
+    (["solve-maxian", "--lambda", "0.5"], "csv",
+     CSV_HEAD + "0,6,0,maxian,linear,0.5,24,0,12,3,4,1,5,X\n"),
+    (["sweep", "median", "--lambdas", "0,0.5,1"], "json",
+     '[\n  {\n    "test": 0,\n    "n": 6,\n    "seed": 0,\n'
+     '    "problem": "median",\n    "method": "edge-deletion",\n'
+     '    "lambda": 0.0,\n    "transport": 5.0,\n    "f5": 0.0,\n'
+     '    "objective": 0.0,\n    "edge_u": 3,\n    "edge_v": 4,\n'
+     '    "fac1": 2,\n    "fac2": 4,\n    "runtime_ms": X\n  },\n  {\n'
+     '    "test": 0,\n    "n": 6,\n    "seed": 0,\n'
+     '    "problem": "median",\n    "method": "edge-deletion",\n'
+     '    "lambda": 0.5,\n    "transport": 5.0,\n    "f5": 0.0,\n'
+     '    "objective": 2.5,\n    "edge_u": 3,\n    "edge_v": 4,\n'
+     '    "fac1": 2,\n    "fac2": 4,\n    "runtime_ms": X\n  },\n  {\n'
+     '    "test": 0,\n    "n": 6,\n    "seed": 0,\n'
+     '    "problem": "median",\n    "method": "edge-deletion",\n'
+     '    "lambda": 1.0,\n    "transport": 5.0,\n    "f5": 4.0,\n'
+     '    "objective": 5.0,\n    "edge_u": 1,\n    "edge_v": 2,\n'
+     '    "fac1": 1,\n    "fac2": 4,\n    "runtime_ms": X\n  }\n]\n'),
+    (["sweep", "median", "--lambdas", "0,0.5,1"], "csv",
+     CSV_HEAD + "0,6,0,median,edge-deletion,0,5,0,0,3,4,2,4,X\n"
+     "0,6,0,median,edge-deletion,0.5,5,0,2.5,3,4,2,4,X\n"
+     "0,6,0,median,edge-deletion,1,5,4,5,1,2,1,4,X\n"),
+    (["pareto", "maxian"], "json",
+     '{\n  "problem": "maxian",\n  "grid": 11,\n  "points": [\n    [\n'
+     "      24.0,\n      0.0\n    ],\n    [\n      25.0,\n      2.0\n"
+     "    ]\n  ]\n}\n"),
+    (["pareto", "maxian"], "csv",
+     "transport,f5\n24,0\n25,2\n"),
+    (["report", "median", "--lambda", "0.5"], "json",
+     '{\n  "test": 0,\n  "n": 6,\n  "seed": 0,\n'
+     '  "problem": "median",\n  "method": "edge-deletion",\n'
+     '  "lambda": 0.5,\n  "transport": 5.0,\n  "f5": 0.0,\n'
+     '  "objective": 2.5,\n  "edge_u": 3,\n  "edge_v": 4,\n'
+     '  "fac1": 2,\n  "fac2": 4,\n  "runtime_ms": X,\n'
+     '  "deviations": 0\n}\n'),
+    (["report", "median", "--lambda", "0.5"], "csv",
+     "problem,method,lambda,deviations\nmedian,edge-deletion,0.5,0\n"),
+    (["oracle", "maxian", "--lambda", "0.5"], "json",
+     '{\n  "test": 0,\n  "n": 6,\n  "seed": 0,\n'
+     '  "problem": "maxian",\n  "method": "brute",\n'
+     '  "lambda": 0.5,\n  "transport": 24.0,\n  "f5": 0.0,\n'
+     '  "objective": 12.0,\n  "edge_u": 3,\n  "edge_v": 4,\n'
+     '  "fac1": 1,\n  "fac2": 5,\n  "runtime_ms": X\n}\n'),
+    (["oracle", "maxian", "--lambda", "0.5"], "csv",
+     CSV_HEAD + "0,6,0,maxian,brute,0.5,24,0,12,3,4,1,5,X\n"),
+]
+
+
+@pytest.mark.parametrize("argv,fmt,want", GOLDEN,
+                         ids=[f"{' '.join(a[:2])}-{f}" for a, f, _ in GOLDEN])
+def test_output_files_are_byte_exact(argv, fmt, want, tmp_path, capsys):
+    out = tmp_path / f"out.{fmt}"
+    assert run([*argv, "--input", T6B, "--format", fmt, "--output", str(out)]) == 0
+    got = out.read_bytes().decode("utf-8")
+    if fmt == "json":
+        got = re.sub(r'("runtime_ms": )[^,\n]+', r"\1X", got)
+    elif got.startswith(CSV_HEAD):
+        got = re.sub(r",[0-9][0-9.e+-]*$", ",X", got, flags=re.M)
+    assert got == want

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import random_int_tree
-from treeloc import (ConfigError, ExperimentRecord, GenSpec, MaxianSolution,
-                     PreconditionError, SolverConfig, SplitMix64,
-                     allocation_report, build_tree, emit_csv, gen_random_tree,
-                     lambda_sweep, pareto_front, parse_tree, render_tree,
+from treeloc import (ConfigError, ExperimentRecord, GenSpec, PreconditionError,
+                     Solution, SolverConfig, SplitMix64, allocation_report,
+                     build_tree, emit_csv, gen_random_tree, lambda_sweep,
+                     pareto_front, parse_tree, render_tree,
                      solve_balanced_2maxian_cubic, solve_balanced_2median)
 
 MASK = (1 << 64) - 1
@@ -52,6 +52,10 @@ def test_genspec_validation():
         GenSpec(0, 1)
     with pytest.raises(ConfigError):
         GenSpec(5, 1, length_min=3.0, length_max=1.0)
+    for bounds in ((0.0, float("inf")), (float("inf"), float("inf")),
+                   (0.0, float("nan"))):
+        with pytest.raises(ConfigError):
+            GenSpec(5, 1, *bounds)
     with pytest.raises(ConfigError):
         GenSpec(5, 1, weight_mode="gauss")
     with pytest.raises(ConfigError):
@@ -185,7 +189,7 @@ def test_allocation_report_maxian(t6b):
     assert sol.facilities == (1, 5)
     assert allocation_report(sol, t6b) == 1
     # the tied optimum with facilities {v1, v6} deviates at v3 as well
-    alt = MaxianSolution(2, (3, 4), (1, 6), 24.0, 0.0, 12.0, "cubic")
+    alt = Solution("maxian", "cubic", 2, (3, 4), (1, 6), 24.0, 0.0, 12.0)
     assert allocation_report(alt, t6b) == 1
 
 

@@ -3,9 +3,13 @@ from dataclasses import fields
 
 import pytest
 
-from treeloc import (ConfigError, PreconditionError, SolverConfig, eval_f3,
-                     eval_f5, eval_fpmax, eval_fpmed, eval_transport,
-                     maxian_assignment, median_assignment, split_by_edge)
+import treeloc
+from treeloc import (ConfigError, PreconditionError, SolverConfig,
+                     brute_2maxian, brute_2median, eval_f3, eval_f5,
+                     eval_fpmax, eval_fpmed, eval_transport, maxian_assignment,
+                     median_assignment, solve_balanced_2maxian_cubic,
+                     solve_balanced_2maxian_linear, solve_balanced_2median,
+                     split_by_edge)
 
 from conftest import random_int_tree
 
@@ -95,3 +99,39 @@ def test_balance_identity_random():
 def test_transport_facility_range_check(t6):
     with pytest.raises(PreconditionError):
         median_assignment(t6, 2, 2, 9)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_solution_aliases_per_problem(t6, t6b, lam):
+    """The old per-problem names stay readable: medians and f1 on median
+    solutions, f2 on maxian ones, and nothing else."""
+    cfg = SolverConfig(lam)
+    for tree in (t6, t6b):
+        for med in (solve_balanced_2median(cfg, tree), brute_2median(cfg, tree)):
+            assert med.problem == "median"
+            assert med.medians == med.facilities and med.f1 == med.transport
+            assert not hasattr(med, "f2")
+        for solve in (solve_balanced_2maxian_linear, solve_balanced_2maxian_cubic,
+                      brute_2maxian):
+            mx = solve(cfg, tree)
+            assert mx.problem == "maxian"
+            assert mx.f2 == mx.transport
+            assert not hasattr(mx, "medians") and not hasattr(mx, "f1")
+        with pytest.raises(AttributeError):
+            med.medians = (1, 2)
+
+
+def test_solution_methods(t6, t6b):
+    cfg = SolverConfig(0.5)
+    assert brute_2median(cfg, t6).method == "brute"
+    assert brute_2maxian(cfg, t6b).method == "brute"
+    assert solve_balanced_2median(cfg, t6).method == "edge-deletion"
+    assert solve_balanced_2maxian_linear(cfg, t6b).method == "linear"
+    assert solve_balanced_2maxian_cubic(cfg, t6b).method == "cubic"
+
+
+def test_every_exported_name_resolves():
+    for name in treeloc.__all__:
+        assert hasattr(treeloc, name), name
+    assert "MedianSolution" not in treeloc.__all__
+    assert "MaxianSolution" not in treeloc.__all__

@@ -130,6 +130,14 @@ def test_path_between(t6):
     assert list(back.vertices) == [5, 4, 3, 2, 1]
 
 
+def test_path_between_checks_vertex_ids():
+    # id 0 would wrap around to the last vertex, id 5 would index past the end
+    tree = build_tree(4, [(1, 2), (2, 3), (3, 4)])
+    for a, b in ((0, 3), (1, 5), (3, 0), (5, 1)):
+        with pytest.raises(PreconditionError, match="vertex id out of range"):
+            path_between(tree, a, b)
+
+
 def test_diameter_t6(t6):
     d = diameter(t6)
     assert list(d.vertices) == [1, 2, 3, 4, 5]
