@@ -9,6 +9,7 @@ to the same quantities compare bit-for-bit on integer inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,8 @@ from .tree import (EdgeBipartition, WeightedTree, distances, lower_end,
 
 # relative slack for comparing two routes to one float that may round apart
 TOLERANCE = 1e-9
+# finite weights, service times or lengths can still overflow the sums
+_OVERFLOW = "objective is not finite: the weights, service times or lengths are too large"
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,8 @@ class Solution:
     side.  transport is f1 (median) or f2 (maxian), and objective is
     objective(lam, transport, f5, problem).  method records which algorithm
     produced it.  Median solutions also answer medians and f1, maxian ones
-    f2, as read-only aliases."""
+    f2, as read-only aliases.  transport, f5 and objective are finite:
+    values that overflowed raise PreconditionError."""
 
     problem: str
     method: str
@@ -66,6 +70,10 @@ class Solution:
     transport: float
     f5: float
     objective: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.transport, self.f5, self.objective))):
+            raise PreconditionError(_OVERFLOW)
 
     def __getattr__(self, name):
         alias = _ALIASES.get(vars(self).get("problem"), {}).get(name)
@@ -101,9 +109,13 @@ class CutTable:
         the maxian, the smallest edge index among ties.  A linear table's
         path terms round differently from the tree's own sums, so
         eval_transport and eval_f5 recompute its picked cut, once per edge,
-        and the objective comes from them."""
+        and the objective comes from them.  When no cut has a finite
+        objective, or a NaN from overflowed sums leaves the pick undefined,
+        it raises PreconditionError."""
         obj = objective(lam, self.transport, self.f5, self.problem)
         top = obj.min() if self.problem == "median" else obj.max()
+        if not np.isfinite(top):
+            raise PreconditionError(_OVERFLOW)
         rows = np.flatnonzero(obj == top)
         k = rows[np.argmin(self.edges[rows])]
         e, (x1, x2) = int(self.edges[k]), (int(x) for x in self.facilities[k])

@@ -18,7 +18,6 @@ distance array or a distance sum is then O(n) numpy work at any depth.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
@@ -29,6 +28,8 @@ from .errors import PreconditionError, TreeParseError
 
 # elements per (rows, n) block of the cut tables: rows = _BLOCK // n edges
 _BLOCK = 1 << 14
+# lines per block of the text reader and writer
+_IO_ROWS = 4096
 
 
 class _Positions(NamedTuple):
@@ -87,17 +88,22 @@ class WeightedTree:
             raise TreeParseError("edge endpoint out of range")
         if np.any(lo == hi):
             raise TreeParseError("self-loop edge")
-        key = lo * n + hi
-        if np.unique(key).size != key.size:
-            raise TreeParseError("duplicate edge")
+        fault = None
         for name, arr in (("length", length), ("w", w), ("t", t)):
             if not np.all(np.isfinite(arr)):
-                raise TreeParseError(f"non-finite {name} value")
-            if arr.size and arr.min() < 0:
-                raise TreeParseError(f"negative {name} value")
-        traversal = _rooted_traversal(n, lo, hi, length)
+                fault = f"non-finite {name} value"
+            elif arr.size and arr.min() < 0:
+                fault = f"negative {name} value"
+            if fault:
+                break
+        traversal = None if fault else _rooted_traversal(n, lo, hi, length)
         if traversal is None:
-            raise TreeParseError("edge list does not connect all vertices")
+            # n - 1 edges with a duplicate cannot connect n vertices, so the
+            # duplicate test runs only here, and is named before any other fault
+            key = lo * n + hi
+            if np.unique(key).size != key.size:
+                raise TreeParseError("duplicate edge")
+            raise TreeParseError(fault or "edge list does not connect all vertices")
         arrays = dict(eu=lo, ev=hi, length=length, w=w, t=t, z=w * t, **traversal)
         for name, arr in arrays.items():
             arr.flags.writeable = False
@@ -400,13 +406,66 @@ def parse_tree(text: str) -> WeightedTree:
     at all, in which case every vertex gets weight 1 and service time 1.
     Blank lines and lines starting with '#' are skipped; error messages
     use original line numbers.
+
+    The lines are converted a block of _IO_ROWS at a time into columns and
+    checked as arrays, mostly by WeightedTree.  Only when that rejects the
+    text does _raise_line_fault read it line by line to name the first
+    faulty line; a text with no faulty line re-raises the construction's
+    error.
     """
-    rows = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((ln, stripped))
+    try:
+        return WeightedTree(*_columns(text))
+    except (TreeParseError, ValueError, OverflowError) as exc:
+        fault = exc
+    _raise_line_fault(text)
+    raise fault
+
+
+def _columns(text: str) -> tuple:
+    """(n, eu, ev, length, w, t) of the text, 0-based endpoints.  Raises
+    ValueError or OverflowError on a bad count, token or id.  The lines are
+    freed on return, before the tree is built."""
+    rows = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    n = int(rows[0]) if rows else 0
+    if n < 1 or len(rows) not in (n, 2 * n):
+        raise ValueError("line counts")
+    eu, ev, length = _block_columns(rows[1:n], (int, int, float))
+    if len(rows) == n:
+        return n, eu - 1, ev - 1, length, np.ones(n), np.ones(n)
+    vid, wv, tv = _block_columns(rows[n:], (int, float, float))
+    # the ids must be a permutation of 1..n before they place any value
+    if vid.min() < 1 or vid.max() > n or np.bincount(vid - 1, minlength=n).max() > 1:
+        raise ValueError("vertex ids")
+    w, t = np.empty(n), np.empty(n)
+    w[vid - 1], t[vid - 1] = wv, tv
+    return n, eu - 1, ev - 1, length, w, t
+
+
+def _block_columns(rows: list[str], kinds: tuple) -> list[np.ndarray]:
+    """Three columns of the rows, each converted by int or float.  A block's
+    tokens are made only once each line is known to hold three, and only
+    one block of them is alive at a time: one list per line, all alive,
+    would take several times the memory of the text and make the cyclic
+    garbage collector rescan every line."""
+    cols = [np.empty(len(rows), dtype=np.int64 if k is int else np.float64)
+            for k in kinds]
+    for s in range(0, len(rows), _IO_ROWS):
+        block = rows[s:s + _IO_ROWS]
+        if set(map(len, map(str.split, block))) != {3}:
+            raise ValueError("token count")
+        tokens = " ".join(block).split()
+        for j, (col, kind) in enumerate(zip(cols, kinds)):
+            col[s:s + len(block)] = np.fromiter(map(kind, tokens[j::3]), col.dtype, len(block))
+    return cols
+
+
+def _raise_line_fault(text: str) -> None:
+    """Read the text line by line and raise the error of its first faulty
+    line, in file order: the count line, the edge lines, the number of
+    vertex lines (count errors carry no line number), then the vertex
+    lines.  Returns when no line is faulty."""
+    rows = [(ln, s) for ln, s in enumerate(map(str.strip, text.splitlines()), start=1)
+            if s and s[0] != "#"]
     if not rows:
         raise TreeParseError("empty tree description")
 
@@ -423,11 +482,8 @@ def parse_tree(text: str) -> WeightedTree:
     if len(rows) - 1 < n - 1:
         raise TreeParseError(f"expected {n - 1} edge lines, found {len(rows) - 1}")
 
-    eu = np.empty(max(n - 1, 0), dtype=np.int64)
-    ev = np.empty(max(n - 1, 0), dtype=np.int64)
-    length = np.empty(max(n - 1, 0))
     seen_edges = set()
-    for i, (ln, row) in enumerate(rows[1:n]):
+    for ln, row in rows[1:n]:
         parts = row.split()
         if len(parts) != 3:
             raise bad(ln, f"expected 'u v length', got {row!r}")
@@ -446,54 +502,68 @@ def parse_tree(text: str) -> WeightedTree:
         if pair in seen_edges:
             raise bad(ln, f"duplicate edge ({pair[0]},{pair[1]})")
         seen_edges.add(pair)
-        eu[i], ev[i], length[i] = u - 1, v - 1, ell
 
     tail = rows[n:]
-    w = np.ones(n)
-    t = np.ones(n)
-    if tail:
-        if len(tail) != n:
-            raise TreeParseError(
-                f"expected {n} vertex lines or none, found {len(tail)}")
-        seen = np.zeros(n, dtype=bool)
-        for ln, row in tail:
-            parts = row.split()
-            if len(parts) != 3:
-                raise bad(ln, f"expected 'id weight service', got {row!r}")
-            try:
-                vid = int(parts[0])
-                wv, tv = float(parts[1]), float(parts[2])
-            except ValueError:
-                raise bad(ln, f"expected 'id weight service', got {row!r}") from None
-            if not (1 <= vid <= n):
-                raise bad(ln, f"vertex id out of range 1..{n}")
-            if seen[vid - 1]:
-                raise bad(ln, f"vertex {vid} listed twice")
-            if not (np.isfinite(wv) and wv >= 0 and np.isfinite(tv) and tv >= 0):
-                raise bad(ln, "weight and service must be finite and non-negative")
-            seen[vid - 1] = True
-            w[vid - 1], t[vid - 1] = wv, tv
+    if tail and len(tail) != n:
+        raise TreeParseError(f"expected {n} vertex lines or none, found {len(tail)}")
+    seen = set()
+    for ln, row in tail:
+        parts = row.split()
+        if len(parts) != 3:
+            raise bad(ln, f"expected 'id weight service', got {row!r}")
+        try:
+            vid = int(parts[0])
+            wv, tv = float(parts[1]), float(parts[2])
+        except ValueError:
+            raise bad(ln, f"expected 'id weight service', got {row!r}") from None
+        if not (1 <= vid <= n):
+            raise bad(ln, f"vertex id out of range 1..{n}")
+        if vid in seen:
+            raise bad(ln, f"vertex {vid} listed twice")
+        if not (np.isfinite(wv) and wv >= 0 and np.isfinite(tv) and tv >= 0):
+            raise bad(ln, "weight and service must be finite and non-negative")
+        seen.add(vid)
 
-    # the per-line rows are the largest objects here: let them go first
-    del rows, tail, seen_edges
-    return WeightedTree(n, eu, ev, length, w, t)
+
+def _fmt_column(col: np.ndarray) -> list[str]:
+    """Each value as a decimal: integers, and integral floats below 1e16,
+    bare; any other float as the shortest decimal that round-trips (its
+    repr).  The one number format of tree files and CLI output."""
+    if col.dtype.kind == "i":
+        return _strs(col)
+    bare = (np.trunc(col) == col) & (np.abs(col) < 1e16)
+    if bare.all():
+        return _strs(col.astype(np.int64))
+    out = _strs(col)
+    if bare.any():
+        at = np.flatnonzero(bare)
+        for k, s in zip(at.tolist(), _strs(col[at].astype(np.int64))):
+            out[k] = s
+    return out
+
+
+def _strs(col: np.ndarray) -> list[str]:
+    """repr of each element, from one repr of the whole list."""
+    return repr(col.tolist())[1:-1].split(", ") if col.size else []
 
 
 def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips; integral values print bare."""
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(float(x))
+    """x as _fmt_column prints it."""
+    return _fmt_column(np.array([x], dtype=np.float64))[0]
 
 
 def render_tree(tree: WeightedTree) -> str:
-    out = io.StringIO()
-    out.write(f"{tree.n}\n")
-    for e in range(tree.n - 1):
-        out.write(f"{tree.eu[e] + 1} {tree.ev[e] + 1} {_fmt(tree.length[e])}\n")
-    for v in range(tree.n):
-        out.write(f"{v + 1} {_fmt(tree.w[v])} {_fmt(tree.t[v])}\n")
-    return out.getvalue()
+    """The tree in the format parse_tree reads, with every vertex line,
+    formatted a block of _IO_ROWS rows at a time."""
+    n = tree.n
+    ids = np.arange(1, n + 1)
+    out = [f"{n}\n"]
+    for cols, size in (((tree.eu + 1, tree.ev + 1, tree.length), n - 1),
+                       ((ids, tree.w, tree.t), n)):
+        for s in range(0, size, _IO_ROWS):
+            rows = zip(*(_fmt_column(col[s:s + _IO_ROWS]) for col in cols))
+            out.append("\n".join(map(" ".join, rows)) + "\n")
+    return "".join(out)
 
 
 def build_tree(n: int, edges: Sequence[tuple[int, int]],

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from conftest import FIXTURES
@@ -214,6 +215,42 @@ def test_malformed_input_file(tmp_path, capsys):
     rc = run(["solve-median", "--lambda", "0.5", "--input", str(bad)])
     assert rc == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data,err", [
+    # a UTF-8 byte order mark is not whitespace, so the count line is bad
+    (b"\xef\xbb\xbf3\n1 2 1\n2 3 1\n",
+     "error: line 1: expected vertex count, got '\\ufeff3'\n"),
+    # CRLF line ends; the duplicate edge is named before the later fault
+    (b"4\r\n1 2 1\r\n2 1 1\r\n3 4 -1\r\n", "error: line 3: duplicate edge (1,2)\n"),
+])
+def test_malformed_input_exit_code_and_message(data, err, tmp_path, capsys):
+    bad = tmp_path / "bad.tree"
+    bad.write_bytes(data)
+    rc = run(["solve-median", "--lambda", "0.5", "--input", str(bad)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-median", "--lambda", "0.5"],
+    ["solve-maxian", "--lambda", "0.5", "--method", "linear"],
+    ["solve-maxian", "--lambda", "0.5", "--method", "cubic"],
+    ["report", "median", "--lambda", "0.5"],
+    ["report", "maxian", "--lambda", "0.5"],
+    ["oracle", "maxian", "--lambda", "0.5"],
+])
+def test_overflowing_data_is_a_precondition_error(argv, tmp_path, capsys):
+    # finite weights whose distance sums overflow float64
+    huge = tmp_path / "huge.tree"
+    huge.write_text("3\n1 2 10\n2 3 10\n1 1e308 1\n2 1 1\n3 1e308 1\n",
+                    encoding="utf-8")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run(argv + ["--input", str(huge)])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_single_vertex_precondition(tmp_path, capsys):

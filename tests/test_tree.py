@@ -1,12 +1,13 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from treeloc import (PreconditionError, TreeParseError, WeightedTree,
+from treeloc import (GenSpec, PreconditionError, TreeParseError, WeightedTree,
                      all_pairs_dist, build_tree, compress_onto_path, diameter,
-                     dist, one_median, parse_tree, path_between, render_tree,
-                     split_by_edge)
+                     dist, gen_random_tree, one_median, parse_tree,
+                     path_between, render_tree, split_by_edge)
 from treeloc.tree import dist_sums, distances
 
 from conftest import SHAPES, random_int_tree, shape_tree
@@ -81,6 +82,194 @@ def test_parse_rejects_malformed(text, frag):
         parse_tree(text)
 
 
+# The parse outcome of each text, pinned from the line-at-a-time parser:
+# the full error text, or the parsed (eu, ev, length, w, t) bit for bit.
+# The texts cover every fault kind, faults whose precedence must hold (the
+# first faulty line in file order, edge lines before the vertex-line count,
+# a duplicate edge before any later fault) and tokens where another
+# tokenizer could diverge from str.splitlines, str.split, int and float.
+PARSE_PINS = [
+    ('',
+     'empty tree description'),
+    ('# only a comment\n\n   \n',
+     'empty tree description'),
+    ('x\n',
+     "line 1: expected vertex count, got 'x'"),
+    ('3 4\n',
+     "line 1: expected vertex count, got '3 4'"),
+    ('0\n',
+     'line 1: vertex count must be at least 1, got 0'),
+    ('-2\n',
+     'line 1: vertex count must be at least 1, got -2'),
+    ('3\n1 2 1\n',
+     'expected 2 edge lines, found 1'),
+    ('3\n1 2\n2 3 1\n',
+     "line 2: expected 'u v length', got '1 2'"),
+    ('3\n1 2 1 4\n2 3 1\n',
+     "line 2: expected 'u v length', got '1 2 1 4'"),
+    ('3\n1 a 1\n2 3 1\n',
+     "line 2: expected 'u v length', got '1 a 1'"),
+    ('3\n1 2 x\n2 3 1\n',
+     "line 2: expected 'u v length', got '1 2 x'"),
+    ('3\n1 2 1\n2 4 1\n',
+     'line 3: vertex id out of range 1..3'),
+    ('3\n0 2 1\n2 3 1\n',
+     'line 2: vertex id out of range 1..3'),
+    ('3\n1 2 1\n1 1 1\n',
+     'line 3: self-loop edge'),
+    ('3\n1 2 1\n2 3 -1\n',
+     'line 3: edge length must be finite and non-negative'),
+    ('3\n1 2 nan\n2 3 1\n',
+     'line 2: edge length must be finite and non-negative'),
+    ('3\n1 2 inf\n2 3 1\n',
+     'line 2: edge length must be finite and non-negative'),
+    ('3\n1 2 1e400\n2 3 1\n',
+     'line 2: edge length must be finite and non-negative'),
+    ('3\n1 2 1\n2 1 1\n',
+     'line 3: duplicate edge (1,2)'),
+    ('3\n1 2 1\n2 3 1\n1 1 1\n',
+     'expected 3 vertex lines or none, found 1'),
+    ('3\n1 2 1\n2 3 1\n1 1 1\n2 1\n3 1 1\n',
+     "line 5: expected 'id weight service', got '2 1'"),
+    ('3\n1 2 1\n2 3 1\n1 1 1\n2 x 1\n3 1 1\n',
+     "line 5: expected 'id weight service', got '2 x 1'"),
+    ('3\n1 2 1\n2 3 1\n1 1 1\n4 1 1\n3 1 1\n',
+     'line 5: vertex id out of range 1..3'),
+    ('3\n1 2 1\n2 3 1\n1 1 1\n0 1 1\n3 1 1\n',
+     'line 5: vertex id out of range 1..3'),
+    ('3\n1 2 1\n2 3 1\n1 1 1\n1 2 1\n3 1 1\n',
+     'line 5: vertex 1 listed twice'),
+    ('3\n1 2 1\n2 3 1\n1 1 1\n2 -1 1\n3 1 1\n',
+     'line 5: weight and service must be finite and non-negative'),
+    ('3\n1 2 1\n2 3 1\n1 1 1\n2 1 nan\n3 1 1\n',
+     'line 5: weight and service must be finite and non-negative'),
+    ('3\n1 2 1\n2 3 1\n1 1 1\n2 inf 1\n3 1 1\n',
+     'line 5: weight and service must be finite and non-negative'),
+    ('4\n1 2 1\n2 3 1\n1 3 1\n',
+     'edge list does not connect all vertices'),
+    ('4\n1 2 1\n2 1 1\n3 4 -1\n',
+     'line 3: duplicate edge (1,2)'),
+    ('4\n1 2 1\n3 4 -1\n2 1 1\n',
+     'line 3: edge length must be finite and non-negative'),
+    ('3\n1 2 1\n2 1 1\n1 x 1\n2 1 1\n3 1 1\n',
+     'line 3: duplicate edge (1,2)'),
+    ('3\n1 2 1\n2 x 1\n1 1 1\n',
+     "line 3: expected 'u v length', got '2 x 1'"),
+    ('3\n1 2 1\n2 3 1\n1 x 1\n2 1 1\n',
+     'expected 3 vertex lines or none, found 2'),
+    ('5\n1 2 1\n2 3 1\n1 3 1\n4 5 1\n',
+     'edge list does not connect all vertices'),
+    ('5\n1 2 1\n2 3 1\n1 3 1\n4 5 1\n1 1 1\n2 1 1\n3 1 1\n4 1 1\n5 -1 1\n',
+     'line 10: weight and service must be finite and non-negative'),
+    ('3\n1 2 1\n2 3 1\n1 1 1\n1 1 1\n3 -1 1\n',
+     'line 5: vertex 1 listed twice'),
+    ('3\n1 2 1\n2 3 1\n1 1 1\n9 1 1\n2 -1 1\n',
+     'line 5: vertex id out of range 1..3'),
+    ('3\r\n1 2 1.5\r\n2 3 1\r\n1 2 3\r\n2 4 5\r\n3 6 7\r\n',
+     ([0, 1], [1, 2], [1.5, 1.0], [2.0, 4.0, 6.0], [3.0, 5.0, 7.0])),
+    ('3\r\n1 2 1\r\n\r\n2 3 x\r\n',
+     "line 4: expected 'u v length', got '2 3 x'"),
+    ('3\n1\t2\t1\n\t2 3\t1 \n',
+     ([0, 1], [1, 2], [1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])),
+    ('3\n1 2 1\x0c2 3 1\n',
+     ([0, 1], [1, 2], [1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])),
+    ('3\n1 2 1\x0c2 3 y\n',
+     "line 3: expected 'u v length', got '2 3 y'"),
+    ('3\n1 2 1\u20282 3 1\n',
+     ([0, 1], [1, 2], [1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])),
+    ('3\n1 2 1\u2028\u20282 3 z\n',
+     "line 4: expected 'u v length', got '2 3 z'"),
+    ('3\n+1 2 1\n2 +3 +1.5\n',
+     ([0, 1], [1, 2], [1.0, 1.5], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])),
+    ('3\n1 2 1_0\n2 0_3 2_5.5\n',
+     ([0, 1], [1, 2], [10.0, 25.5], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])),
+    ('3\n1 3.0 1\n2 3 1\n',
+     "line 2: expected 'u v length', got '1 3.0 1'"),
+    ('3\n1 2 1e3\n2 3 1E-3\n',
+     ([0, 1], [1, 2], [1000.0, 0.001], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])),
+    ('3\n1 1e0 1\n2 3 1\n',
+     "line 2: expected 'u v length', got '1 1e0 1'"),
+    ('3\n1 2 1\n2 3 1\n1 1 1\n2.0 1 1\n3 1 1\n',
+     "line 5: expected 'id weight service', got '2.0 1 1'"),
+    ('3\n1 2 1\n2 3 1\n1e0 1 1\n2 1 1\n3 1 1\n',
+     "line 4: expected 'id weight service', got '1e0 1 1'"),
+    ('3\n1 2 -0\n2 3 -0.0\n1 -0 0\n2 1 -0\n3 0 0\n',
+     ([0, 1], [1, 2], [-0.0, -0.0], [-0.0, 1.0, 0.0], [0.0, -0.0, 0.0])),
+    ('3\n-0 2 1\n2 3 1\n',
+     'line 2: vertex id out of range 1..3'),
+    ('3\n1 99999999999999999999 1\n2 3 1\n',
+     'line 2: vertex id out of range 1..3'),
+    ('3\n1 2 1\n2 3 1\n99999999999999999999 1 1\n2 1 1\n3 1 1\n',
+     'line 4: vertex id out of range 1..3'),
+    ('99999999999999999999\n1 2 1\n',
+     'expected 99999999999999999998 edge lines, found 1'),
+    ('\ufeff3\n1 2 1\n2 3 1\n',
+     "line 1: expected vertex count, got '\\ufeff3'"),
+    ('3\n\ufeff1 2 1\n2 3 1\n',
+     "line 2: expected 'u v length', got '\\ufeff1 2 1'"),
+    ('3\n1 2 1\n2 3 1\n1 \ufeff1 1\n2 1 1\n3 1 1\n',
+     "line 4: expected 'id weight service', got '1 \\ufeff1 1'"),
+    ('3\n1 2 0x1\n2 3 1\n',
+     "line 2: expected 'u v length', got '1 2 0x1'"),
+    ('3\n1 2 1\n2 3 1\n3 1 1\n1 2.5 0.1\n2 Infinity 1\n',
+     'line 6: weight and service must be finite and non-negative'),
+    ('3\n١ 2 1\n2 3 1\n',
+     ([0, 1], [1, 2], [1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])),
+    ('1\n',
+     ([], [], [], [1.0], [1.0])),
+    ('1\n1 0 0\n',
+     ([], [], [], [0.0], [0.0])),
+    ('1\n1 0\n',
+     "line 2: expected 'id weight service', got '1 0'"),
+    ('2\n2 1 0\n2 7 0.25\n1 5e-324 1.7976931348623157e308\n',
+     ([0], [1], [0.0], [5e-324, 7.0], [1.7976931348623157e+308, 0.25])),
+]
+
+
+@pytest.mark.parametrize("text,want", PARSE_PINS,
+                         ids=[f"case{k}" for k in range(len(PARSE_PINS))])
+def test_parse_pins(text, want):
+    if isinstance(want, str):
+        with pytest.raises(TreeParseError) as err:
+            parse_tree(text)
+        assert str(err.value) == want
+        return
+    tree = parse_tree(text)
+    for arr, exp in zip((tree.eu, tree.ev, tree.length, tree.w, tree.t), want):
+        assert arr.tobytes() == np.asarray(exp, dtype=arr.dtype).tobytes()
+
+
+@pytest.mark.parametrize("line,value,want", [
+    (20000, "-1", "line 20000: edge length must be finite and non-negative"),
+    (40000, "nan", "line 40000: weight and service must be finite and non-negative"),
+])
+def test_parse_names_a_late_line(line, value, want):
+    lines = render_tree(gen_random_tree(GenSpec(20000, 3))).splitlines()
+    assert len(lines) == 40000
+    lines[line - 1] = lines[line - 1].rsplit(" ", 1)[0] + " " + value
+    with pytest.raises(TreeParseError) as err:
+        parse_tree("\n".join(lines) + "\n")
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize("n,edges,data,want", [
+    # a duplicate edge is named before any later fault
+    (3, [(1, 2), (2, 1)], dict(lengths=[1.0, -1.0]), "duplicate edge"),
+    (3, [(1, 2), (2, 1)], dict(w=[1.0, float("nan"), 1.0]), "duplicate edge"),
+    (3, [(1, 2), (2, 1)], {}, "duplicate edge"),
+    (3, [(1, 2), (2, 3)], dict(lengths=[1.0, -1.0]), "negative length value"),
+    (3, [(1, 2), (2, 3)], dict(t=[1.0, float("inf"), 1.0]), "non-finite t value"),
+    (4, [(1, 2), (2, 3), (1, 3)], dict(w=[1.0, -1.0, 1.0, 1.0]), "negative w value"),
+    (4, [(1, 2), (2, 3), (1, 3)], {}, "edge list does not connect all vertices"),
+    (3, [(1, 2), (2, 2)], dict(lengths=[1.0, -1.0]), "self-loop edge"),
+    (3, [(1, 2), (2, 4)], dict(lengths=[1.0, -1.0]), "edge endpoint out of range"),
+])
+def test_constructor_fault_precedence(n, edges, data, want):
+    with pytest.raises(TreeParseError) as err:
+        build_tree(n, edges, **data)
+    assert str(err.value) == want
+
+
 def test_render_parse_round_trip(t6):
     text = render_tree(t6)
     assert render_tree(parse_tree(text)) == text
@@ -94,6 +283,54 @@ def test_round_trip_random_trees():
         again = parse_tree(text)
         assert render_tree(again) == text
         assert again.n == tree.n
+
+
+def _assert_round_trip(tree):
+    again = parse_tree(render_tree(tree))
+    assert again.n == tree.n
+    for name in ("eu", "ev", "length", "w", "t"):
+        a, b = getattr(again, name), getattr(tree, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_round_trip_is_bit_exact_on_gen_trees(seed):
+    _assert_round_trip(gen_random_tree(GenSpec(20000, seed, weight_mode="uniform",
+                                               service_mode="uniform")))
+
+
+@pytest.mark.parametrize("kind", SHAPES)
+def test_round_trip_is_bit_exact_on_shapes(kind):
+    rng = random.Random(404)
+    base = shape_tree(rng, kind, 300)
+    n = base.n
+
+    def draw(count):
+        return [rng.random() * 10 ** rng.randint(-3, 3) for _ in range(count)]
+
+    _assert_round_trip(WeightedTree(n, base.eu, base.ev, draw(n - 1), draw(n), draw(n)))
+
+
+def test_round_trip_is_bit_exact_on_format_boundaries():
+    # either side of the bare-integer rule (below 1e16), the largest
+    # float64 integers, the smallest subnormal and the largest finite value
+    vals = [0.1, 1e16 - 2, 1e16, 2.0 ** 53 + 2, 5e-324, 1.7976931348623157e308]
+    n = len(vals) + 1
+    tree = build_tree(n, [(k, k + 1) for k in range(1, n)], lengths=vals,
+                      w=vals[::-1] + [0.0], t=[0.0] + vals)
+    _assert_round_trip(tree)
+    assert render_tree(tree).splitlines()[1:3] == ["1 2 0.1", "2 3 9999999999999998"]
+
+
+@pytest.mark.parametrize("spec,digest", [
+    (GenSpec(3000, 11),
+     "f1a2f8a5dfa96bd80df785b83da8ee2545a747870f80278ebf40d5d26a7e114c"),
+    (GenSpec(3000, 11, weight_mode="uniform", service_mode="uniform"),
+     "8bbf723532b50a49bec21ef0cb1e0d09d09df3440fe2f735f929e7bd32e4f625"),
+])
+def test_render_text_is_pinned(spec, digest):
+    text = render_tree(gen_random_tree(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_constructor_validates_shapes():
