@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 2 parse or I/O error, 3 invalid configuration,
-4 solver precondition failure.
+4 solver precondition failure.  Standard error carries only "error: ..."
+and "warning: ..." lines.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ import io
 import json
 import sys
 import time
+import warnings
+
+import numpy as np
 
 from .errors import ConfigError, PreconditionError, TreeParseError
 from .experiments import (ExperimentRecord, GenSpec, allocation_report,
@@ -232,6 +236,11 @@ def _cmd_report(args) -> int:
                  f"{rec.problem},{rec.method},{_fmt(rec.lam)},{dev}")
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    """Show a warning as one line, without the source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -250,8 +259,11 @@ def run(argv: list[str] | None = None) -> int:
         "gen": _cmd_gen,
         "report": _cmd_report,
     }
+    # an overflow surfaces as a non-finite objective, which exits 4
     try:
-        return dispatch[args.command](args)
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.showwarning = _warning_line
+            return dispatch[args.command](args)
     except (TreeParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

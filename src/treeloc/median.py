@@ -21,9 +21,8 @@ def _one_median_swept(tree: WeightedTree, side: np.ndarray, sub: np.ndarray) -> 
     side's weight (the weight-majority set, closed under zero-length
     edges), so x lies below every side edge whose lower part is such a
     majority and below none whose upper part is."""
-    pos = tree._pos
     W = sub[:, :1]
-    inner = side & side[:, pos.up] & (pos.plen > 0.0)
+    inner = side & side[:, tree.up] & (tree.plen > 0.0)
     heavy = inner & (2.0 * sub > W)
     light = inner & (2.0 * sub < W)
     # heavy edges above x, sunk below zero by any light one; the side's top

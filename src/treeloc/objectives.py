@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .tree import (EdgeBipartition, WeightedTree, distances, lower_end,
-                   split_by_edge, subtree_sums)
+from .tree import (EdgeBipartition, WeightedTree, distances, split_by_edge,
+                   subtree_sums)
 
 # relative slack for comparing two routes to one float that may round apart
 TOLERANCE = 1e-9
@@ -201,10 +201,9 @@ def eval_transport(tree: WeightedTree, assignment: Assignment) -> float:
 def cut_imbalance(tree: WeightedTree) -> np.ndarray:
     """f5 of every edge deletion, in edge order: |z_a - z_b| with z_a the
     z sum of the side holding the smaller endpoint, from subtree sums."""
-    low = lower_end(tree, np.arange(tree.n - 1))
     Z = float(tree.z.sum())
-    z_low = subtree_sums(tree, tree.z[tree.preorder])[tree.tin[low]]
-    z_a = np.where(low == tree.eu, z_low, Z - z_low)
+    z_low = subtree_sums(tree, tree.z[tree.preorder])[tree.tin[tree.low]]
+    z_a = np.where(tree.low == tree.eu, z_low, Z - z_low)
     return np.abs(z_a - (Z - z_a))
 
 

@@ -19,8 +19,7 @@ distance array or a distance sum is then O(n) numpy work at any depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,24 +31,17 @@ _BLOCK = 1 << 14
 _IO_ROWS = 4096
 
 
-class _Positions(NamedTuple):
-    """The traversal by preorder position: position i holds vertex
-    preorder[i] and its subtree the positions i <= j < end[i]."""
-
-    end: np.ndarray
-    dep: np.ndarray
-    plen: np.ndarray    # length of the edge up to the parent, 0 at the root
-    up: np.ndarray      # position of the parent, 0 at the root
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedTree:
     """Tree with per-edge lengths and per-vertex demand weight w and service
     time t.  The balance quantity z = w*t is derived on construction, along
-    with the traversal rooted at vertex 0: preorder (vertex ids in
-    preorder), parent and pedge (parent vertex and edge, -1 at the root),
-    dep (distance from the root) and tin/tout (the vertices below v are
-    those with tin[v] <= tin < tout[v]).  All arrays are frozen read-only.
+    with the traversal rooted at vertex 0.  By preorder position i: the
+    vertex preorder[i], its subtree's positions i <= j < end[i], its depth
+    pdep[i], its parent edge's length plen[i] and its parent's position
+    up[i] (n, 0, 0 and 0 at the root).  By vertex v: tin[v], v's position;
+    parent and pedge (parent vertex and edge, -1 at the root); dep and tout,
+    pdep and end gathered by tin.  By edge e: low[e], the endpoint below e,
+    whose parent edge it is.  All arrays are frozen read-only.
     """
 
     n: int
@@ -60,6 +52,11 @@ class WeightedTree:
     t: np.ndarray
     z: np.ndarray = field(init=False, repr=False)
     preorder: np.ndarray = field(init=False, repr=False)
+    end: np.ndarray = field(init=False, repr=False)
+    pdep: np.ndarray = field(init=False, repr=False)
+    plen: np.ndarray = field(init=False, repr=False)
+    up: np.ndarray = field(init=False, repr=False)
+    low: np.ndarray = field(init=False, repr=False)
     parent: np.ndarray = field(init=False, repr=False)
     pedge: np.ndarray = field(init=False, repr=False)
     dep: np.ndarray = field(init=False, repr=False)
@@ -121,15 +118,6 @@ class WeightedTree:
         """1-based (u, v) endpoints of edge index e, u < v."""
         return int(self.eu[e]) + 1, int(self.ev[e]) + 1
 
-    @cached_property
-    def _pos(self) -> _Positions:
-        pre = self.preorder
-        end = self.tout[pre]
-        plen = np.zeros(self.n)
-        plen[1:] = self.length[self.pedge[pre[1:]]]
-        return _Positions(end, self.dep[pre], plen,
-                          self.tin[np.maximum(self.parent[pre], 0)])
-
 
 def _rooted_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
                       length: np.ndarray) -> dict | None:
@@ -139,53 +127,59 @@ def _rooted_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
     vertex by the slot after the reverse of the arc it came in by.  Cut
     before vertex 0's first slot, a tree's tour is one list through all
     arcs, ranked by pointer jumping in ceil(log2(2n-2)) passes; any other
-    edge set leaves an arc off it or a vertex without arcs."""
-    if n == 1:
-        return dict(preorder=np.zeros(1, dtype=np.int64), parent=np.full(1, -1),
-                    pedge=np.full(1, -1), dep=np.zeros(1),
-                    tin=np.zeros(1, dtype=np.int64), tout=np.ones(1, dtype=np.int64))
-    i32 = np.int32
-    m = 2 * (n - 1)
-    tail = np.concatenate([lo, hi]).astype(i32)
-    ptr = np.zeros(n + 1, dtype=i32)
-    np.cumsum(np.bincount(tail, minlength=n), out=ptr[1:])
-    if np.any(ptr[1:] == ptr[:-1]):
-        return None
-    arc = np.argsort(tail, kind="stable").astype(i32)       # slot -> arc
-    slot = tail                                             # arc -> slot
-    slot[arc] = np.arange(m, dtype=i32)
-    rev = slot[(arc + (n - 1)) % m]                         # slot of the reverse arc
-    del slot, tail
-    head = np.concatenate([hi, lo]).astype(i32)[arc]
-    succ = np.full(m + 1, m, dtype=i32)                     # slot m ends the list
-    succ[:m] = rev + 1
-    wrap = succ[:m] == ptr[head + 1]
-    succ[:m][wrap] = ptr[head[wrap]]
-    succ[rev[ptr[1] - 1]] = m                               # cut before vertex 0's first slot
-    rank = (np.arange(m + 1) < m).astype(i32)               # hops to the end
-    for _ in range((m - 1).bit_length()):     # np.take gathers faster than [] here
-        rank += np.take(rank, succ)
-        succ = np.take(succ, succ)
-    if np.any(succ[:m] != m):
-        return None
-    pos = m - rank[:m]                                      # slot -> tour position
-    del wrap, succ, rank
-    tour = np.empty(m, dtype=i32)
-    tour[pos] = np.arange(m, dtype=i32)
-    is_down = (pos < pos[rev])[tour]
-    step = length[arc[tour] % (n - 1)]
-    climb = np.cumsum(np.where(is_down, step, -step))[is_down]
-    dn = tour[is_down]                                      # down slots in tour order
-    del tour, is_down, step
-    child = head[dn].astype(np.int64)
+    edge set leaves an arc off it or a vertex without arcs.  The tour's
+    down steps, in order, are preorder positions 1..n-1; the arrays by
+    vertex are gathers of those by position."""
+    # per down step: child, parent, edge, subtree size, depth, edge length
+    child = par = edge = size = np.zeros(0, dtype=np.int64)
+    climb = plen = np.zeros(0)
+    if n > 1:
+        i32 = np.int32
+        m = 2 * (n - 1)
+        tail = np.concatenate([lo, hi]).astype(i32)
+        ptr = np.zeros(n + 1, dtype=i32)
+        np.cumsum(np.bincount(tail, minlength=n), out=ptr[1:])
+        if np.any(ptr[1:] == ptr[:-1]):
+            return None
+        arc = np.argsort(tail, kind="stable").astype(i32)   # slot -> arc
+        slot = tail                                         # arc -> slot
+        slot[arc] = np.arange(m, dtype=i32)
+        rev = slot[(arc + (n - 1)) % m]                     # slot of the reverse arc
+        del slot, tail
+        head = np.concatenate([hi, lo]).astype(i32)[arc]
+        succ = np.full(m + 1, m, dtype=i32)                 # slot m ends the list
+        succ[:m] = rev + 1
+        wrap = succ[:m] == ptr[head + 1]
+        succ[:m][wrap] = ptr[head[wrap]]
+        succ[rev[ptr[1] - 1]] = m                           # cut before vertex 0's first slot
+        rank = (np.arange(m + 1) < m).astype(i32)           # hops to the end
+        for _ in range((m - 1).bit_length()):   # np.take gathers faster than [] here
+            rank += np.take(rank, succ)
+            succ = np.take(succ, succ)
+        if np.any(succ[:m] != m):
+            return None
+        pos = m - rank[:m]                                  # slot -> tour position
+        del wrap, succ, rank
+        tour = np.empty(m, dtype=i32)
+        tour[pos] = np.arange(m, dtype=i32)
+        is_down = (pos < pos[rev])[tour]
+        step = length[arc[tour] % (n - 1)]
+        climb = np.cumsum(np.where(is_down, step, -step))[is_down]
+        plen = step[is_down]
+        dn = tour[is_down]                                  # down slots in tour order
+        del tour, is_down, step
+        child, par, edge = head[dn].astype(np.int64), head[rev[dn]], arc[dn] % (n - 1)
+        size = (pos[rev[dn]] - pos[dn] + 1) // 2
     preorder = np.concatenate([[0], child])
     tin = np.empty(n, dtype=np.int64)
     tin[preorder] = np.arange(n)
-    parent, pedge, dep, tout = np.full(n, -1), np.full(n, -1), np.zeros(n), np.full(n, n)
-    parent[child], pedge[child], dep[child] = head[rev[dn]], arc[dn] % (n - 1), climb
-    tout[child] = tin[child] + (pos[rev[dn]] - pos[dn] + 1) // 2
-    return dict(preorder=preorder, parent=parent, pedge=pedge, dep=dep, tin=tin,
-                tout=tout)
+    end = np.concatenate([[n], np.arange(1, n) + size])
+    pdep = np.concatenate([[0.0], climb])
+    parent, pedge, low = np.full(n, -1), np.full(n, -1), np.empty(n - 1, dtype=np.int64)
+    parent[child], pedge[child], low[edge] = par, edge, child
+    return dict(preorder=preorder, tin=tin, end=end, pdep=pdep,
+                plen=np.concatenate([[0.0], plen]), up=np.concatenate([[0], tin[par]]),
+                low=low, parent=parent, pedge=pedge, dep=pdep[tin], tout=end[tin])
 
 
 def subtree_sums(tree: WeightedTree, vals: np.ndarray) -> np.ndarray:
@@ -193,7 +187,7 @@ def subtree_sums(tree: WeightedTree, vals: np.ndarray) -> np.ndarray:
     positions on its last axis."""
     pfx = np.zeros(vals.shape[:-1] + (tree.n + 1,))
     np.cumsum(vals, axis=-1, out=pfx[..., 1:])
-    sub = np.take(pfx, tree._pos.end, axis=-1)     # faster than [..., end] for few rows
+    sub = np.take(pfx, tree.end, axis=-1)     # faster than [..., end] for few rows
     return np.subtract(sub, pfx[..., :-1], out=sub)
 
 
@@ -202,7 +196,7 @@ def root_path_sums(tree: WeightedTree, vals: np.ndarray) -> np.ndarray:
     which each subtree's values leave again at its end position."""
     n = tree.n
     rows = vals.reshape(-1, n)
-    ends = (np.arange(rows.shape[0])[:, None] * (n + 1) + tree._pos.end).ravel()
+    ends = (np.arange(rows.shape[0])[:, None] * (n + 1) + tree.end).ravel()
     left = np.bincount(ends, rows.ravel(), rows.size + rows.shape[0]).reshape(-1, n + 1)[:, :n]
     np.subtract(rows, left, out=left)
     return np.cumsum(left, axis=-1, out=left).reshape(vals.shape)
@@ -212,12 +206,11 @@ def dist_sums(tree: WeightedTree, wm: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """S[j, x] = sum_v wm[j, v] * d(v, x) for (k, n) weight rows in preorder
     positions, and the rows' subtree sums: with d = dep[v] + dep[x] -
     2*dep[lca], sum_v wm[v]*dep[lca] is a root-path sum of sub * plen."""
-    pos = tree._pos
     sub = subtree_sums(tree, wm)
-    S = root_path_sums(tree, sub * pos.plen)
+    S = root_path_sums(tree, sub * tree.plen)
     S *= -2.0
-    S += sub[:, :1] * pos.dep
-    S += (wm @ pos.dep)[:, None]
+    S += sub[:, :1] * tree.pdep
+    S += (wm @ tree.pdep)[:, None]
     return S, sub
 
 
@@ -228,12 +221,6 @@ def distances(tree: WeightedTree, sources) -> np.ndarray:
     return np.take(S, tree.tin, axis=-1)
 
 
-def lower_end(tree: WeightedTree, e):
-    """The endpoint of edge e (an index or an index array) below it, the
-    one whose parent edge is e."""
-    return np.where(tree.pedge[tree.eu[e]] == e, tree.eu[e], tree.ev[e])
-
-
 def cut_blocks(tree: WeightedTree) -> Iterator[tuple[np.ndarray, ...]]:
     """Every edge deletion in blocks of about _BLOCK elements: (edges, in_a,
     sub, S), where row j masks edges[j]'s side holding eu in preorder
@@ -241,9 +228,8 @@ def cut_blocks(tree: WeightedTree) -> Iterator[tuple[np.ndarray, ...]]:
     other side's are the whole tree's minus these)."""
     n = tree.n
     edges = np.arange(n - 1)
-    low = lower_end(tree, edges)
-    start, stop = tree.tin[low], tree.tout[low]
-    flip = (low != tree.eu)[:, None]
+    start, stop = tree.tin[tree.low], tree.tout[tree.low]
+    flip = (tree.low != tree.eu)[:, None]
     w = tree.w[tree.preorder]
     pos = np.arange(n)
     k = max(1, _BLOCK // n)
@@ -282,7 +268,7 @@ class EdgeBipartition:
 def split_by_edge(tree: WeightedTree, e: int) -> EdgeBipartition:
     if not (0 <= e < tree.n - 1):
         raise PreconditionError(f"edge index {e} out of range")
-    low = lower_end(tree, e)
+    low = tree.low[e]
     in_a = ((tree.tin >= tree.tin[low]) & (tree.tin < tree.tout[low])) ^ (low != tree.eu[e])
     side_a = np.flatnonzero(in_a) + 1
     side_b = np.flatnonzero(~in_a) + 1
@@ -385,7 +371,7 @@ def compress_onto_path(tree: WeightedTree, p: PathDescriptor) -> CompressedPath:
     spot = tree.tin[verts0]
     top = int(spot.min())
     step = np.zeros(n)
-    step[spot] = spot - tree._pos.up[spot]
+    step[spot] = spot - tree.up[spot]
     step[top] = 0.0
     step[0] += top              # every root path starts at the top
     anchor = tree.preorder[root_path_sums(tree, step).astype(np.int64)][tree.tin]

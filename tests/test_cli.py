@@ -1,15 +1,21 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+import treeloc
 from conftest import FIXTURES
 from treeloc import parse_tree
 from treeloc.cli import run
 
 T6 = str(FIXTURES / "t6.tree")
 T6B = str(FIXTURES / "t6b.tree")
+# finite weights whose distance sums overflow float64
+HUGE = "3\n1 2 10\n2 3 10\n1 1e308 1\n2 1 1\n3 1e308 1\n"
 
 
 def _lines(capsys):
@@ -241,16 +247,42 @@ def test_malformed_input_exit_code_and_message(data, err, tmp_path, capsys):
     ["oracle", "maxian", "--lambda", "0.5"],
 ])
 def test_overflowing_data_is_a_precondition_error(argv, tmp_path, capsys):
-    # finite weights whose distance sums overflow float64
     huge = tmp_path / "huge.tree"
-    huge.write_text("3\n1 2 10\n2 3 10\n1 1e308 1\n2 1 1\n3 1e308 1\n",
-                    encoding="utf-8")
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = run(argv + ["--input", str(huge)])
+    huge.write_text(HUGE, encoding="utf-8")
+    rc = run(argv + ["--input", str(huge)])
     out, err = capsys.readouterr()
     assert rc == 4
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _run_child(argv):
+    """The CLI in a child process, whose stderr also shows what Python's
+    warning machinery prints; pytest captures warnings in-process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(treeloc.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "treeloc.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_overflow_prints_only_the_error_line(tmp_path):
+    huge = tmp_path / "huge.tree"
+    huge.write_text(HUGE, encoding="utf-8")
+    res = _run_child(["solve-median", "--lambda", "0.5", "--input", str(huge)])
+    assert (res.returncode, res.stdout) == (4, "")
+    assert res.stderr == ("error: objective is not finite: the weights, service "
+                          "times or lengths are too large\n")
+
+
+def test_zero_length_fallback_warns_in_one_line(tmp_path):
+    tree = tmp_path / "zero.tree"
+    tree.write_text("4\n1 2 1\n2 3 0\n3 4 1\n", encoding="utf-8")
+    res = _run_child(["solve-maxian", "--lambda", "0.5", "--input", str(tree)])
+    assert res.returncode == 0
+    assert res.stderr == ("warning: zero-length edge: diameter-endpoint optimality "
+                          "is not guaranteed, falling back to the cubic method\n")
+    assert res.stdout == ("problem maxian\nn 4\nmethod cubic\nlambda 0.5\n"
+                          "deleted edge (2,3)\nfacilities (1,4)\ntransport 6\n"
+                          "f5 0\nobjective 3\n")
 
 
 def test_single_vertex_precondition(tmp_path, capsys):

@@ -474,6 +474,16 @@ def test_intervals_nest_and_match_parent():
         assert tree.preorder[0] == 0 and parent[0] == -1 and tree.pedge[0] == -1
         assert np.array_equal(tree.preorder[tin], np.arange(n))
         assert tin[0] == 0 and tout[0] == n
+        # the arrays by preorder position, and each edge's lower end
+        pre = tree.preorder
+        assert np.array_equal(tree.end, tout[pre])
+        assert np.array_equal(tree.pdep, tree.dep[pre])
+        assert tree.plen[0] == 0 and tree.up[0] == 0
+        assert np.array_equal(tree.plen[1:], tree.length[tree.pedge[pre[1:]]])
+        assert np.array_equal(tree.up[1:], tin[parent[pre[1:]]])
+        assert np.array_equal(tree.pedge[tree.low], np.arange(n - 1))
+        assert not any(a.flags.writeable for a in (tree.end, tree.pdep, tree.plen,
+                                                   tree.up, tree.low))
         size = np.ones(n, dtype=np.int64)
         for v in range(1, n):
             p = parent[v]
