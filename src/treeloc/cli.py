@@ -17,13 +17,13 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, PreconditionError, TreeParseError
-from .experiments import (ExperimentRecord, GenSpec, allocation_report,
-                          check_method, check_problem, emit_csv,
-                          gen_random_tree, lambda_sweep, make_record,
-                          pareto_front, record_fields, sweep_solutions)
+from .experiments import (ExperimentRecord, GenSpec, _gen_columns,
+                          allocation_report, check_method, check_problem,
+                          emit_csv, lambda_sweep, make_record, pareto_front,
+                          record_fields, sweep_solutions)
 from .objectives import SolverConfig
 from .oracle import DEFAULT_CAP, brute_2maxian, brute_2median
-from .tree import _fmt, parse_tree, render_tree
+from .tree import _fmt, _render_columns, parse_tree
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -216,11 +216,11 @@ def _cmd_pareto(args) -> int:
 def _cmd_gen(args) -> int:
     spec = GenSpec(args.n, args.seed, args.length_min, args.length_max,
                    args.weights, args.services)
-    tree = gen_random_tree(spec)
-    text = render_tree(tree)
+    # the drawn columns form a tree by construction, so no tree is built
+    text = _render_columns(*_gen_columns(spec))
     if args.output:
         _write_text(args.output, text)
-        print(f"generated n={tree.n} seed={args.seed} -> {args.output}")
+        print(f"generated n={spec.n} seed={args.seed} -> {args.output}")
     else:
         sys.stdout.write(text)
     return 0
@@ -264,7 +264,7 @@ def run(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.showwarning = _warning_line
             return dispatch[args.command](args)
-    except (TreeParseError, OSError) as exc:
+    except (TreeParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

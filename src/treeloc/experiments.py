@@ -91,6 +91,12 @@ def gen_random_tree(spec: GenSpec) -> WeightedTree:
     random vertex in 1..i-1.  Draw order is fixed (parents, then lengths,
     then weights if uniform, then service times if uniform), so identical
     specs give identical instances on every platform."""
+    return WeightedTree(*_gen_columns(spec))
+
+
+def _gen_columns(spec: GenSpec) -> tuple:
+    """(n, eu, ev, length, w, t) of gen_random_tree(spec), 0-based, with
+    eu < ev: the columns form a tree by construction."""
     n = spec.n
     g = SplitMix64(spec.seed)
     praw = g.raw(n - 1)
@@ -106,7 +112,7 @@ def gen_random_tree(spec: GenSpec) -> WeightedTree:
     parents = (praw % np.arange(1, n, dtype=np.uint64)).astype(np.int64)
     ev = np.arange(1, n, dtype=np.int64)
     lengths = spec.length_min + lu * (spec.length_max - spec.length_min)
-    return WeightedTree(n, parents, ev, lengths, w, t)
+    return n, parents, ev, lengths, w, t
 
 
 @dataclass(frozen=True)

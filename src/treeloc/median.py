@@ -49,7 +49,7 @@ def one_median(tree: WeightedTree, side: Iterable[int] | None = None) -> tuple[i
     mask = np.zeros(tree.n, dtype=bool)
     mask[ids] = True
     # connected iff it spans one edge fewer than it has vertices
-    if np.count_nonzero(mask[1:] & mask[tree.parent[1:]]) != ids.size - 1:
+    if np.count_nonzero(mask[tree.eu] & mask[tree.ev]) != ids.size - 1:
         raise PreconditionError("side does not induce a connected subtree")
     in_side = mask[tree.preorder][None]
     S, sub = dist_sums(tree, np.where(in_side, tree.w[tree.preorder], 0.0))

@@ -10,6 +10,7 @@ to the same quantities compare bit-for-bit on integer inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +32,10 @@ class SolverConfig:
     lam: float
 
     def __post_init__(self):
-        if not (isinstance(self.lam, (int, float)) and 0.0 <= self.lam <= 1.0):
-            raise ConfigError(f"lambda must lie in [0, 1], got {self.lam!r}")
+        lam = self.lam
+        if isinstance(lam, bool) or not (isinstance(lam, numbers.Real) and 0.0 <= lam <= 1.0):
+            raise ConfigError(f"lambda must lie in [0, 1], got {lam!r}")
+        object.__setattr__(self, "lam", float(lam))
 
 
 def objective(lam: float, transport, f5, problem: str):

@@ -38,10 +38,9 @@ class WeightedTree:
     with the traversal rooted at vertex 0.  By preorder position i: the
     vertex preorder[i], its subtree's positions i <= j < end[i], its depth
     pdep[i], its parent edge's length plen[i] and its parent's position
-    up[i] (n, 0, 0 and 0 at the root).  By vertex v: tin[v], v's position;
-    parent and pedge (parent vertex and edge, -1 at the root); dep and tout,
-    pdep and end gathered by tin.  By edge e: low[e], the endpoint below e,
-    whose parent edge it is.  All arrays are frozen read-only.
+    up[i] (n, 0, 0 and 0 at the root).  By vertex v: tin[v], v's position.
+    By edge e: low[e], the endpoint below e, whose parent edge it is.  All
+    arrays are frozen read-only.
     """
 
     n: int
@@ -57,11 +56,7 @@ class WeightedTree:
     plen: np.ndarray = field(init=False, repr=False)
     up: np.ndarray = field(init=False, repr=False)
     low: np.ndarray = field(init=False, repr=False)
-    parent: np.ndarray = field(init=False, repr=False)
-    pedge: np.ndarray = field(init=False, repr=False)
-    dep: np.ndarray = field(init=False, repr=False)
     tin: np.ndarray = field(init=False, repr=False)
-    tout: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n
@@ -128,8 +123,7 @@ def _rooted_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
     before vertex 0's first slot, a tree's tour is one list through all
     arcs, ranked by pointer jumping in ceil(log2(2n-2)) passes; any other
     edge set leaves an arc off it or a vertex without arcs.  The tour's
-    down steps, in order, are preorder positions 1..n-1; the arrays by
-    vertex are gathers of those by position."""
+    down steps, in order, are preorder positions 1..n-1."""
     # per down step: child, parent, edge, subtree size, depth, edge length
     child = par = edge = size = np.zeros(0, dtype=np.int64)
     climb = plen = np.zeros(0)
@@ -173,13 +167,11 @@ def _rooted_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
     preorder = np.concatenate([[0], child])
     tin = np.empty(n, dtype=np.int64)
     tin[preorder] = np.arange(n)
-    end = np.concatenate([[n], np.arange(1, n) + size])
-    pdep = np.concatenate([[0.0], climb])
-    parent, pedge, low = np.full(n, -1), np.full(n, -1), np.empty(n - 1, dtype=np.int64)
-    parent[child], pedge[child], low[edge] = par, edge, child
-    return dict(preorder=preorder, tin=tin, end=end, pdep=pdep,
-                plen=np.concatenate([[0.0], plen]), up=np.concatenate([[0], tin[par]]),
-                low=low, parent=parent, pedge=pedge, dep=pdep[tin], tout=end[tin])
+    low = np.empty(n - 1, dtype=np.int64)
+    low[edge] = child
+    return dict(preorder=preorder, tin=tin, end=np.concatenate([[n], np.arange(1, n) + size]),
+                pdep=np.concatenate([[0.0], climb]), plen=np.concatenate([[0.0], plen]),
+                up=np.concatenate([[0], tin[par]]), low=low)
 
 
 def subtree_sums(tree: WeightedTree, vals: np.ndarray) -> np.ndarray:
@@ -204,8 +196,8 @@ def root_path_sums(tree: WeightedTree, vals: np.ndarray) -> np.ndarray:
 
 def dist_sums(tree: WeightedTree, wm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """S[j, x] = sum_v wm[j, v] * d(v, x) for (k, n) weight rows in preorder
-    positions, and the rows' subtree sums: with d = dep[v] + dep[x] -
-    2*dep[lca], sum_v wm[v]*dep[lca] is a root-path sum of sub * plen."""
+    positions, and the rows' subtree sums: with d = pdep[v] + pdep[x] -
+    2*pdep[lca], sum_v wm[v]*pdep[lca] is a root-path sum of sub * plen."""
     sub = subtree_sums(tree, wm)
     S = root_path_sums(tree, sub * tree.plen)
     S *= -2.0
@@ -228,7 +220,8 @@ def cut_blocks(tree: WeightedTree) -> Iterator[tuple[np.ndarray, ...]]:
     other side's are the whole tree's minus these)."""
     n = tree.n
     edges = np.arange(n - 1)
-    start, stop = tree.tin[tree.low], tree.tout[tree.low]
+    start = tree.tin[tree.low]
+    stop = tree.end[start]
     flip = (tree.low != tree.eu)[:, None]
     w = tree.w[tree.preorder]
     pos = np.arange(n)
@@ -269,7 +262,8 @@ def split_by_edge(tree: WeightedTree, e: int) -> EdgeBipartition:
     if not (0 <= e < tree.n - 1):
         raise PreconditionError(f"edge index {e} out of range")
     low = tree.low[e]
-    in_a = ((tree.tin >= tree.tin[low]) & (tree.tin < tree.tout[low])) ^ (low != tree.eu[e])
+    start = tree.tin[low]
+    in_a = ((tree.tin >= start) & (tree.tin < tree.end[start])) ^ (low != tree.eu[e])
     side_a = np.flatnonzero(in_a) + 1
     side_b = np.flatnonzero(~in_a) + 1
     w_a = float(tree.w[in_a].sum())
@@ -308,27 +302,30 @@ def path_between(tree: WeightedTree, a: int, b: int) -> PathDescriptor:
     the lowest common ancestor, then down to b."""
     if not (1 <= a <= tree.n and 1 <= b <= tree.n):
         raise PreconditionError("vertex id out of range")
-    tin, tout = tree.tin, tree.tout
-    over_a = (tin <= tin[a - 1]) & (tin[a - 1] < tout)
-    over_b = (tin <= tin[b - 1]) & (tin[b - 1] < tout)
-    common = np.flatnonzero(over_a & over_b)
-    top = common[np.argmax(tin[common])]
-    rise, fall = np.flatnonzero(over_a & ~over_b), np.flatnonzero(over_b & ~over_a)
-    verts = np.concatenate([rise[np.argsort(-tin[rise])], [top], fall[np.argsort(tin[fall])]])
-    # each vertex but the top meets its neighbour toward the top by its parent edge
-    return _as_path(tree, verts, tree.pedge[verts[verts != top]])
+    # a position's ancestors are the positions at or before it whose
+    # interval holds it, so flatnonzero lists them from the root down
+    pos, i, j = np.arange(tree.n), tree.tin[a - 1], tree.tin[b - 1]
+    over_a = (pos <= i) & (i < tree.end)
+    over_b = (pos <= j) & (j < tree.end)
+    top = np.flatnonzero(over_a & over_b)[-1]
+    spots = np.concatenate([np.flatnonzero(over_a & ~over_b)[::-1], [top],
+                            np.flatnonzero(over_b & ~over_a)])
+    # each position but the top meets its neighbour toward the top by its parent edge
+    pedge = np.empty(tree.n, dtype=np.int64)
+    pedge[tree.tin[tree.low]] = np.arange(tree.n - 1)
+    return _as_path(tree, tree.preorder[spots], pedge[spots[spots != top]])
 
 
 def diameter(tree: WeightedTree) -> PathDescriptor:
     """A longest path in the tree by weighted distance.
 
-    Double sweep from vertex 0 (whose distances are dep); np.argmax takes
+    Double sweep from vertex 0 (whose distances are the depths); np.argmax takes
     the first maximum, which resolves every tie to the lexicographically
     smallest endpoint id pair (the farthest set from any start vertex
     consists of longest-path endpoints only).  The result is oriented to
     start at its smaller endpoint id.
     """
-    a = int(np.argmax(tree.dep))
+    a = int(np.argmax(tree.pdep[tree.tin]))
     b = int(np.argmax(distances(tree, a)[0]))
     return path_between(tree, min(a, b) + 1, max(a, b) + 1)
 
@@ -365,10 +362,10 @@ def compress_onto_path(tree: WeightedTree, p: PathDescriptor) -> CompressedPath:
     verts0 = p.vertices - 1
     if verts0.min() < 0 or verts0.max() >= n:
         raise PreconditionError("path vertex out of range")
-    a, b = verts0[:-1], verts0[1:]
-    if np.unique(verts0).size != m or np.any((tree.parent[a] != b) & (tree.parent[b] != a)):
-        raise PreconditionError("path does not belong to the tree")
     spot = tree.tin[verts0]
+    a, b = spot[:-1], spot[1:]
+    if np.unique(verts0).size != m or np.any((tree.up[a] != b) & (tree.up[b] != a)):
+        raise PreconditionError("path does not belong to the tree")
     top = int(spot.min())
     step = np.zeros(n)
     step[spot] = spot - tree.up[spot]
@@ -539,13 +536,17 @@ def _fmt(x: float) -> str:
 
 
 def render_tree(tree: WeightedTree) -> str:
-    """The tree in the format parse_tree reads, with every vertex line,
+    """The tree in the format parse_tree reads, with every vertex line."""
+    return _render_columns(tree.n, tree.eu, tree.ev, tree.length, tree.w, tree.t)
+
+
+def _render_columns(n: int, eu: np.ndarray, ev: np.ndarray, length: np.ndarray,
+                    w: np.ndarray, t: np.ndarray) -> str:
+    """The text of the columns _columns reads back, 0-based endpoints,
     formatted a block of _IO_ROWS rows at a time."""
-    n = tree.n
     ids = np.arange(1, n + 1)
     out = [f"{n}\n"]
-    for cols, size in (((tree.eu + 1, tree.ev + 1, tree.length), n - 1),
-                       ((ids, tree.w, tree.t), n)):
+    for cols, size in (((eu + 1, ev + 1, length), n - 1), ((ids, w, t), n)):
         for s in range(0, size, _IO_ROWS):
             rows = zip(*(_fmt_column(col[s:s + _IO_ROWS]) for col in cols))
             out.append("\n".join(map(" ".join, rows)) + "\n")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -163,6 +164,20 @@ def test_gen_stdout_parses(capsys):
     assert tree.n == 30
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["--n", "1"], "d6819d4f859cc539c7d7938980310d79e70d5c4d554c8f8d703379ed76fb8737"),
+    (["--n", "2000", "--seed", "7"],
+     "829d37089d39305827e32a1cb95121932e0dd9741ef97aad6c33d041315032e8"),
+    (["--n", "2000", "--seed", "7", "--weights", "uniform", "--services", "uniform"],
+     "7341927e62b299aa9b8d04a1938cde7f125065f58296579a78b2ccbcff28d294"),
+    (["--n", "2000", "--seed", "7", "--length-min", "0"],
+     "f86ec02501c6f5e8ae321bd2df5e35e08b6b04fcfe8d8781e7c7d18574554d15"),
+])
+def test_gen_stdout_is_pinned(argv, digest, capsys):
+    assert run(["gen", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_gen_file_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.tree", tmp_path / "b.tree"
     run(["gen", "--n", "30", "--seed", "7", "--output", str(a)])
@@ -229,6 +244,9 @@ def test_malformed_input_file(tmp_path, capsys):
      "error: line 1: expected vertex count, got '\\ufeff3'\n"),
     # CRLF line ends; the duplicate edge is named before the later fault
     (b"4\r\n1 2 1\r\n2 1 1\r\n3 4 -1\r\n", "error: line 3: duplicate edge (1,2)\n"),
+    # bytes that are not UTF-8
+    (b"3\n1 2 1\n2 3 \xff1\n",
+     "error: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte\n"),
 ])
 def test_malformed_input_exit_code_and_message(data, err, tmp_path, capsys):
     bad = tmp_path / "bad.tree"

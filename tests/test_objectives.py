@@ -1,6 +1,7 @@
 import random
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import treeloc
@@ -18,11 +19,16 @@ def test_solver_config_defaults():
     cfg = SolverConfig(0.5)
     assert cfg.lam == 0.5
     assert [f.name for f in fields(SolverConfig)] == ["lam"]
+    # any real number is stored as a float, numpy scalars included
+    for lam in (np.float32(0.5), np.int64(0), 1):
+        cfg = SolverConfig(lam)
+        assert type(cfg.lam) is float and cfg.lam == lam
 
 
 @pytest.mark.parametrize("kwargs", [
     {"lam": -0.1},
     {"lam": 1.1},
+    {"lam": True},
 ])
 def test_solver_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):

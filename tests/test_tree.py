@@ -458,7 +458,7 @@ def test_depth_and_distances_match_all_pairs_oracle():
     rng = random.Random(8)
     for tree in _kernel_cases():
         D = all_pairs_dist(tree)
-        assert np.array_equal(tree.dep, D[0])
+        assert np.array_equal(tree.pdep[tree.tin], D[0])
         assert np.array_equal(distances(tree, np.arange(tree.n)), D)
         # distance sums of a block of weight rows, in preorder positions
         W = np.array([[rng.randint(0, 5) for _ in range(tree.n)] for _ in range(3)], dtype=float)
@@ -470,36 +470,72 @@ def test_depth_and_distances_match_all_pairs_oracle():
 def test_intervals_nest_and_match_parent():
     for tree in _kernel_cases():
         n = tree.n
-        tin, tout, parent = tree.tin, tree.tout, tree.parent
-        assert tree.preorder[0] == 0 and parent[0] == -1 and tree.pedge[0] == -1
-        assert np.array_equal(tree.preorder[tin], np.arange(n))
-        assert tin[0] == 0 and tout[0] == n
-        # the arrays by preorder position, and each edge's lower end
-        pre = tree.preorder
-        assert np.array_equal(tree.end, tout[pre])
-        assert np.array_equal(tree.pdep, tree.dep[pre])
-        assert tree.plen[0] == 0 and tree.up[0] == 0
-        assert np.array_equal(tree.plen[1:], tree.length[tree.pedge[pre[1:]]])
-        assert np.array_equal(tree.up[1:], tin[parent[pre[1:]]])
-        assert np.array_equal(tree.pedge[tree.low], np.arange(n - 1))
-        assert not any(a.flags.writeable for a in (tree.end, tree.pdep, tree.plen,
-                                                   tree.up, tree.low))
+        pre, end, up = tree.preorder, tree.end, tree.up
+        assert pre[0] == 0 and end[0] == n and up[0] == 0
+        assert tree.pdep[0] == 0 and tree.plen[0] == 0
+        assert np.array_equal(pre[tree.tin], np.arange(n))
+        assert not any(a.flags.writeable for a in (pre, tree.tin, end, tree.pdep,
+                                                   tree.plen, up, tree.low))
+        # each edge is the parent edge of its lower end, one edge per position
+        pedge = np.full(n, -1)
+        pedge[tree.tin[tree.low]] = np.arange(n - 1)
+        assert pedge[0] == -1 and np.all(pedge[1:] >= 0)
         size = np.ones(n, dtype=np.int64)
-        for v in range(1, n):
-            p = parent[v]
-            e = tree.pedge[v]
-            assert {int(tree.eu[e]), int(tree.ev[e])} == {v, int(p)}
-            assert tin[p] < tin[v] < tout[v] <= tout[p]
-            a = p
-            while a != -1:         # every ancestor's interval holds v
-                size[a] += 1
-                a = parent[a]
-        assert np.array_equal(tout - tin, size)
-        # intervals nest or are disjoint: the vertices inside v's interval
-        # are exactly those with v on their root path
-        for v in range(n):
-            inside = (tin >= tin[v]) & (tin < tout[v])
-            assert np.count_nonzero(inside) == size[v]
+        below = np.eye(n, dtype=bool)      # below[i, j]: position i is on j's root path
+        for j in range(1, n):
+            i, e = int(up[j]), int(pedge[j])
+            assert {int(tree.eu[e]), int(tree.ev[e])} == {int(pre[i]), int(pre[j])}
+            assert tree.plen[j] == tree.length[e]
+            assert tree.pdep[j] == tree.pdep[i] + tree.plen[j]
+            assert i < j < end[j] <= end[i]
+            while True:            # every ancestor's interval holds j
+                size[i] += 1
+                below[i, j] = True
+                if i == 0:
+                    break
+                i = int(up[i])
+        assert np.array_equal(end - np.arange(n), size)
+        # intervals nest or are disjoint: the positions inside i's interval
+        # are exactly those with i on their root path
+        for i in range(n):
+            assert np.array_equal(np.flatnonzero(below[i]), np.arange(i, end[i]))
+
+
+def _tour_preorder(tree):
+    """Preorder of a plain depth-first walk from vertex 0 by the tour's
+    rule: a vertex lists the edges on which it is the smaller endpoint, then
+    those on which it is the larger, each group in edge order, and leaves
+    by the edge after the one it came in by."""
+    nbrs = [[] for _ in range(tree.n)]
+    for u, v in zip(tree.eu.tolist(), tree.ev.tolist()):
+        nbrs[u].append(v)
+    for u, v in zip(tree.eu.tolist(), tree.ev.tolist()):
+        nbrs[v].append(u)
+    order = []
+
+    def visit(x, came):
+        order.append(x)
+        k = nbrs[x].index(came) + 1 if came >= 0 else 0
+        for y in nbrs[x][k:] + nbrs[x][:k]:
+            if y != came:
+                visit(y, x)
+
+    visit(0, -1)
+    return order
+
+
+def test_preorder_follows_the_tour_rule():
+    # vertex 3 lists (3,4) before (2,3) and (1,3): not edge-list order
+    tree = build_tree(4, [(2, 3), (1, 3), (3, 4)])
+    assert (tree.preorder + 1).tolist() == [1, 3, 4, 2] == [v + 1 for v in _tour_preorder(tree)]
+    # relabelled, so that children also get smaller ids than their parents
+    rng = random.Random(404)
+    for _ in range(400):
+        base = shape_tree(rng, rng.choice(SHAPES), rng.randint(1, 30))
+        ids = rng.sample(range(1, base.n + 1), base.n)
+        tree = build_tree(base.n, [(ids[u], ids[v]) for u, v in
+                                   zip(base.eu.tolist(), base.ev.tolist())])
+        assert tree.preorder.tolist() == _tour_preorder(tree)
 
 
 @pytest.mark.parametrize("kind", SHAPES)
@@ -514,14 +550,15 @@ def test_traversal_agrees_with_scipy(kind):
                               shape=(n, n))
     order, pred = csgraph.depth_first_order(graph, 0, directed=False)
     assert order.size == n
-    assert np.array_equal(np.where(pred < 0, -1, pred), tree.parent)
+    pre = tree.preorder
+    assert pred[0] < 0 and np.array_equal(pred[pre[1:]], pre[tree.up[1:]])
     size = np.ones(n, dtype=np.int64)
     for x in order[:0:-1]:
         size[pred[x]] += size[x]
-    assert np.array_equal(tree.tout - tree.tin, size)
+    assert np.array_equal(tree.end - np.arange(n), size[pre])
     src = [0, 1234, n - 1]
     far = csgraph.dijkstra(graph, directed=False, indices=src)
-    assert np.array_equal(far[0], tree.dep)
+    assert np.array_equal(far[0], tree.pdep[tree.tin])
     assert np.array_equal(far, distances(tree, src))
 
 
