@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .objectives import CutTable, Solution, SolverConfig, cut_imbalance, objective
-from .tree import (CompressedPath, WeightedTree, compress_onto_path, cut_blocks,
-                   diameter, dist_sums)
+from .tree import (CompressedPath, WeightedTree, _double_sweep, _fold_onto_path,
+                   cut_blocks, dist_sums, distances, path_between)
 
 
 def _best_pairs(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -49,13 +49,13 @@ def cubic_cut_table(tree: WeightedTree) -> CutTable:
     smallest one among ties.  O(n) numpy work per edge, a block of edges
     per call."""
     _needs_two_vertices(tree)
-    S_all = np.take(dist_sums(tree, tree.w[tree.preorder][None])[0][0], tree.tin)
+    S_all = dist_sums(tree, tree.w[tree.preorder][None])[0][0].take(tree.tin)
     f2 = np.empty(tree.n - 1)
     pairs = np.empty((tree.n - 1, 2), dtype=np.int64)
     for edges, _, _, S in cut_blocks(tree):
-        B = np.take(S, tree.tin, axis=1)        # distance sums to side a, which x2 serves
-        x1, x2, f2[edges] = _best_pairs(S_all - B, B)
-        pairs[edges] = np.column_stack([x1, x2]) + 1
+        B = S.take(tree.tin, axis=1)            # distance sums to side a, which x2 serves
+        pairs[edges, 0], pairs[edges, 1], f2[edges] = _best_pairs(S_all - B, B)
+    pairs += 1
     return CutTable("maxian", "cubic", np.arange(tree.n - 1), f2, cut_imbalance(tree), pairs)
 
 
@@ -70,9 +70,9 @@ def _path_terms(cp: CompressedPath) -> tuple[np.ndarray, np.ndarray]:
         raise PreconditionError("path has no edges to delete")
     p = cp.base.prefix
     L = float(p[-1])
-    SW = np.cumsum(cp.w_hat)[:-1]
-    SWP = np.cumsum(cp.w_hat * p)
-    SZ = np.cumsum(cp.z_hat)[:-1]
+    SW = cp.w_hat.cumsum()[:-1]
+    SWP = (cp.w_hat * p).cumsum()
+    SZ = cp.z_hat.cumsum()[:-1]
     Z = float(cp.z_hat.sum())
     tc = L * SW + float(SWP[-1]) - 2.0 * SWP[:-1]
     return tc + cp.hang_offset, np.abs(SZ - (Z - SZ))
@@ -93,27 +93,32 @@ def path_fpmax_sweep(cfg: SolverConfig, cp: CompressedPath) -> list[tuple[int, f
 
 def linear_cut_table(tree: WeightedTree) -> CutTable:
     """Place facilities at the diameter endpoints, compress all demand onto
-    the diameter path, and score the path edges.  Requires strictly
-    positive edge lengths for the endpoint-optimality guarantee; with any
-    zero-length edge it warns and builds the cubic table instead."""
+    the diameter path, and score the path edges.  Two distance sweeps do
+    it: one from the deepest vertex a finds the far endpoint b, one block
+    of two rows covers b and the path's top, which compression needs.  The
+    table keeps the rows of a and b for its picks to recompute from.
+    Requires strictly positive edge lengths for the endpoint-optimality
+    guarantee; with any zero-length edge it warns and builds the cubic
+    table instead."""
     _needs_two_vertices(tree)
-    if bool(np.any(tree.length == 0.0)):
+    if np.count_nonzero(tree.length == 0.0):
         warnings.warn(
             "zero-length edge: diameter-endpoint optimality is not "
             "guaranteed, falling back to the cubic method",
             RuntimeWarning, stacklevel=2)
         return cubic_cut_table(tree)
-    path = diameter(tree)
-    cp = compress_onto_path(tree, path)
-    transport, f5 = _path_terms(cp)
-    edges = cp.base.edges
-    pv = path.vertices
+    a, b, da = _double_sweep(tree)
+    path = path_between(tree, min(a, b) + 1, max(a, b) + 1)
+    top = int(tree.tin[path.vertices - 1].min())
+    db, d_top = distances(tree, [b, tree.preorder[top]])
+    transport, f5 = _path_terms(_fold_onto_path(tree, path, top, d_top))
+    ends = path.vertices[[0, -1]]
     # x1 serves the larger-endpoint side; the endpoint on the prefix side of
     # the deleted path edge serves the suffix side and vice versa
-    prefix_holds_smaller = tree.eu[edges] + 1 == pv[:-1]
-    x1 = np.where(prefix_holds_smaller, pv[0], pv[-1])
-    x2 = np.where(prefix_holds_smaller, pv[-1], pv[0])
-    return CutTable("maxian", "linear", edges, transport, f5, np.column_stack([x1, x2]))
+    prefix_holds_smaller = tree.eu[path.edges] + 1 == path.vertices[:-1]
+    pairs = np.where(prefix_holds_smaller[:, None], ends, ends[::-1])
+    return CutTable("maxian", "linear", path.edges, transport, f5, pairs,
+                    reach={a + 1: da, b + 1: db})
 
 
 def solve_balanced_2maxian_cubic(cfg: SolverConfig, tree: WeightedTree) -> Solution:

@@ -22,12 +22,13 @@ def _one_median_swept(tree: WeightedTree, side: np.ndarray, sub: np.ndarray) -> 
     edges), so x lies below every side edge whose lower part is such a
     majority and below none whose upper part is."""
     W = sub[:, :1]
-    inner = side & side[:, tree.up] & (tree.plen > 0.0)
-    heavy = inner & (2.0 * sub > W)
-    light = inner & (2.0 * sub < W)
+    twice = 2.0 * sub
+    inner = side & side.take(tree.up, axis=1) & (tree.plen > 0.0)
+    heavy = inner & (twice > W)
+    light = inner & (twice < W)
     # heavy edges above x, sunk below zero by any light one; the side's top
     # scores 0, so the row maximum is reached exactly on the majority set
-    score = np.where(side, root_path_sums(tree, heavy - (tree.n + 1.0) * light), -1.0)
+    score = np.where(side, root_path_sums(tree, np.where(light, -(tree.n + 1.0), heavy)), -1.0)
     return np.where(score == score.max(axis=1, keepdims=True), tree.preorder, tree.n).min(axis=1)
 
 
@@ -71,7 +72,8 @@ def median_cut_table(tree: WeightedTree) -> CutTable:
         m2 = _one_median_swept(tree, ~in_a, sub_all - sub)
         rows, x1, x2 = np.arange(edges.size), tree.tin[m1], tree.tin[m2]
         f1[edges] = S[rows, x1] + (S_all[0, x2] - S[rows, x2])
-        medians[edges] = np.column_stack([m1, m2]) + 1
+        medians[edges, 0], medians[edges, 1] = m1, m2
+    medians += 1
     return CutTable("median", "edge-deletion", np.arange(tree.n - 1), f1,
                     cut_imbalance(tree), medians)
 

@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .tree import (EdgeBipartition, WeightedTree, distances, split_by_edge,
-                   subtree_sums)
+from .tree import (EdgeBipartition, WeightedTree, _side_a, distances,
+                   split_by_edge, subtree_sums)
 
 # relative slack for comparing two routes to one float that may round apart
 TOLERANCE = 1e-9
 # finite weights, service times or lengths can still overflow the sums
 _OVERFLOW = "objective is not finite: the weights, service times or lengths are too large"
+_OPPOSITE = "maxian facilities must lie opposite the side they serve"
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,11 @@ class CutTable:
     (maxian), f5[k] its imbalance and facilities[k] the 1-based pair a
     solution reports for it.  problem is "median" or "maxian"; method names
     the algorithm that filled the table.  Only the weighting of the two
-    terms depends on lambda, so one table answers every lambda.  recomputed
-    keeps the (transport, f5) a pick recomputed from the tree, by edge, for
-    picks at other lambdas.
+    terms depends on lambda, so one table answers every lambda.  A linear
+    table keeps in reach the distances from each of its two facilities to
+    every vertex, by the facility's 1-based id and then by vertex id, for
+    its picks to recompute from; recomputed keeps the (transport, f5) a pick
+    recomputed, by edge, for picks at other lambdas.
     """
 
     problem: str
@@ -105,28 +108,36 @@ class CutTable:
     transport: np.ndarray
     f5: np.ndarray
     facilities: np.ndarray
+    reach: dict = field(default_factory=dict, repr=False)
     recomputed: dict = field(default_factory=dict, repr=False)
 
     def pick(self, lam: float, tree: WeightedTree) -> Solution:
         """The best cut at lam: the minimum for the median, the maximum for
         the maxian, the smallest edge index among ties.  A linear table's
-        path terms round differently from the tree's own sums, so
-        eval_transport and eval_f5 recompute its picked cut, once per edge,
-        and the objective comes from them.  When no cut has a finite
-        objective, or a NaN from overflowed sums leaves the pick undefined,
-        it raises PreconditionError."""
+        path terms round differently from the tree's own sums, so its
+        picked cut is recomputed, once per edge, as eval_transport and
+        eval_f5 would through maxian_assignment, from the side mask and
+        the distance rows in reach; the objective comes from them.  When no
+        cut has a finite objective, or a NaN from overflowed sums leaves
+        the pick undefined, it raises PreconditionError."""
         obj = objective(lam, self.transport, self.f5, self.problem)
         top = obj.min() if self.problem == "median" else obj.max()
-        if not np.isfinite(top):
+        if not math.isfinite(top):
             raise PreconditionError(_OVERFLOW)
-        rows = np.flatnonzero(obj == top)
-        k = rows[np.argmin(self.edges[rows])]
-        e, (x1, x2) = int(self.edges[k]), (int(x) for x in self.facilities[k])
+        rows = (obj == top).nonzero()[0]
+        k = rows[self.edges[rows].argmin()]
+        e, (x1, x2) = int(self.edges[k]), self.facilities[k].tolist()
         transport, f5, value = float(self.transport[k]), float(self.f5[k]), float(obj[k])
         if self.method == "linear":
             if e not in self.recomputed:
-                cut = maxian_assignment(tree, e, x1, x2)
-                self.recomputed[e] = eval_transport(tree, cut), eval_f5(cut.partition)
+                # x2 serves side a, which holds the smaller endpoint, from
+                # side b; x1 serves side b from side a
+                in_a = _side_a(tree, e)
+                if in_a[x2 - 1] or not in_a[x1 - 1]:
+                    raise PreconditionError(_OPPOSITE)
+                z_a = float(tree.z[in_a].sum())
+                self.recomputed[e] = (_transport(tree, in_a, self.reach[x2], self.reach[x1]),
+                                      abs(z_a - (float(tree.z.sum()) - z_a)))
             transport, f5 = self.recomputed[e]
             path_value, value = value, objective(lam, transport, f5, self.problem)
             assert abs(value - path_value) <= TOLERANCE * (1.0 + abs(path_value)), \
@@ -167,8 +178,7 @@ class Assignment:
                     "median facilities must lie inside the side they serve")
         else:
             if a_in_a or not b_in_a:
-                raise PreconditionError(
-                    "maxian facilities must lie opposite the side they serve")
+                raise PreconditionError(_OPPOSITE)
 
     @property
     def facilities(self) -> tuple[int, int]:
@@ -194,8 +204,14 @@ def eval_transport(tree: WeightedTree, assignment: Assignment) -> float:
     for f in (assignment.serve_a, assignment.serve_b):
         if not (1 <= f <= tree.n):
             raise PreconditionError(f"facility id {f} out of range")
-    in_a = assignment.partition._in_a
     da, db = distances(tree, [assignment.serve_a - 1, assignment.serve_b - 1])
+    return _transport(tree, assignment.partition._in_a, da, db)
+
+
+def _transport(tree: WeightedTree, in_a: np.ndarray, da: np.ndarray,
+               db: np.ndarray) -> float:
+    """Side a's weight times its distances da plus side b's times db, all
+    by vertex id."""
     ta = float(np.dot(tree.w[in_a], da[in_a]))
     tb = float(np.dot(tree.w[~in_a], db[~in_a]))
     return ta + tb

@@ -78,16 +78,22 @@ class WeightedTree:
         hi = np.maximum(eu, ev)
         if lo.size and (lo.min() < 0 or hi.max() >= n):
             raise TreeParseError("edge endpoint out of range")
-        if np.any(lo == hi):
+        if np.count_nonzero(lo == hi):
             raise TreeParseError("self-loop edge")
+        # one pass over every value, with no sum that could overflow (a NaN
+        # fails the first test), freed before the traversal; only a fault
+        # runs the loop that names it
+        vals = np.concatenate((length, w, t))
         fault = None
-        for name, arr in (("length", length), ("w", w), ("t", t)):
-            if not np.all(np.isfinite(arr)):
-                fault = f"non-finite {name} value"
-            elif arr.size and arr.min() < 0:
-                fault = f"negative {name} value"
-            if fault:
-                break
+        if not (vals.min() >= 0.0 and vals.max() < np.inf):
+            for name, arr in (("length", length), ("w", w), ("t", t)):
+                if not np.isfinite(arr).all():
+                    fault = f"non-finite {name} value"
+                elif arr.size and arr.min() < 0:
+                    fault = f"negative {name} value"
+                if fault:
+                    break
+        del vals
         traversal = None if fault else _rooted_traversal(n, lo, hi, length)
         if traversal is None:
             # n - 1 edges with a duplicate cannot connect n vertices, so the
@@ -124,62 +130,75 @@ def _rooted_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
     arcs, ranked by pointer jumping in ceil(log2(2n-2)) passes; any other
     edge set leaves an arc off it or a vertex without arcs.  The tour's
     down steps, in order, are preorder positions 1..n-1."""
-    # per down step: child, parent, edge, subtree size, depth, edge length
-    child = par = edge = size = np.zeros(0, dtype=np.int64)
-    climb = plen = np.zeros(0)
-    if n > 1:
-        i32 = np.int32
-        m = 2 * (n - 1)
-        tail = np.concatenate([lo, hi]).astype(i32)
-        ptr = np.zeros(n + 1, dtype=i32)
-        np.cumsum(np.bincount(tail, minlength=n), out=ptr[1:])
-        if np.any(ptr[1:] == ptr[:-1]):
-            return None
-        arc = np.argsort(tail, kind="stable").astype(i32)   # slot -> arc
-        slot = tail                                         # arc -> slot
-        slot[arc] = np.arange(m, dtype=i32)
-        rev = slot[(arc + (n - 1)) % m]                     # slot of the reverse arc
-        del slot, tail
-        head = np.concatenate([hi, lo]).astype(i32)[arc]
-        succ = np.full(m + 1, m, dtype=i32)                 # slot m ends the list
-        succ[:m] = rev + 1
-        wrap = succ[:m] == ptr[head + 1]
-        succ[:m][wrap] = ptr[head[wrap]]
-        succ[rev[ptr[1] - 1]] = m                           # cut before vertex 0's first slot
-        rank = (np.arange(m + 1) < m).astype(i32)           # hops to the end
-        for _ in range((m - 1).bit_length()):   # np.take gathers faster than [] here
-            rank += np.take(rank, succ)
-            succ = np.take(succ, succ)
-        if np.any(succ[:m] != m):
-            return None
-        pos = m - rank[:m]                                  # slot -> tour position
-        del wrap, succ, rank
-        tour = np.empty(m, dtype=i32)
-        tour[pos] = np.arange(m, dtype=i32)
-        is_down = (pos < pos[rev])[tour]
-        step = length[arc[tour] % (n - 1)]
-        climb = np.cumsum(np.where(is_down, step, -step))[is_down]
-        plen = step[is_down]
-        dn = tour[is_down]                                  # down slots in tour order
-        del tour, is_down, step
-        child, par, edge = head[dn].astype(np.int64), head[rev[dn]], arc[dn] % (n - 1)
-        size = (pos[rev[dn]] - pos[dn] + 1) // 2
-    preorder = np.concatenate([[0], child])
+    if n == 1:
+        return dict(preorder=np.zeros(1, dtype=np.int64), tin=np.zeros(1, dtype=np.int64),
+                    end=np.ones(1, dtype=np.int64), pdep=np.zeros(1), plen=np.zeros(1),
+                    up=np.zeros(1, dtype=np.int64), low=np.zeros(0, dtype=np.int64))
+    i32 = np.int32
+    m = 2 * (n - 1)
+    ends = np.concatenate((lo, hi, lo)).astype(i32)         # arc k: ends[k] -> ends[k + n-1]
+    deg = np.bincount(ends[:m], minlength=n)
+    if np.count_nonzero(deg) < n:
+        return None
+    arc = ends[:m].argsort(kind="stable").astype(i32)       # slot -> arc
+    head = ends[n - 1:].take(arc)
+    del ends
+    seq = np.arange(m, dtype=i32)
+    slot = np.empty(m, dtype=i32)                           # arc -> slot
+    slot[arc] = seq
+    rev = slot.take((arc + (n - 1)) % m)                    # slot of the reverse arc
+    cnt = deg.cumsum()
+    succ = seq + 1                                          # the next slot around its tail
+    succ[cnt - 1] = cnt - deg
+    succ = succ.take(rev)
+    # the arc into vertex 0 by the reverse of its last slot ends the list,
+    # pointing at itself
+    last = rev[deg[0] - 1]
+    succ[last] = last
+    del deg, cnt
+    rank = (seq != last).astype(i32)                        # hops to the end
+    for _ in range((m - 1).bit_length()):       # take gathers an int32 index faster than []
+        rank += rank.take(succ)
+        succ = succ.take(succ)
+    if np.count_nonzero(succ != last):
+        return None
+    del succ
+    pos = np.subtract(m - 1, rank, out=rank)                # slot -> tour position
+    tour = slot
+    tour[pos] = seq
+    del seq
+    is_down = (pos < pos.take(rev)).take(tour)
+    step = length.take(arc.take(tour) % (n - 1))
+    plen = np.zeros(n)
+    plen[1:] = step[is_down]
+    # depths sum the tour's steps, negated on the way up, in tour order
+    np.negative(step, out=step, where=~is_down)
+    pdep = np.zeros(n)
+    pdep[1:] = step.cumsum(out=step)[is_down]
+    del step
+    dn = tour[is_down]                                      # down slots in tour order
+    rise = rev.take(dn)                                     # and each one's step back up
+    preorder = np.zeros(n, dtype=np.int64)
+    preorder[1:] = head.take(dn)
+    low = np.empty(n - 1, dtype=np.int64)
+    low[arc.take(dn) % (n - 1)] = preorder[1:]
     tin = np.empty(n, dtype=np.int64)
     tin[preorder] = np.arange(n)
-    low = np.empty(n - 1, dtype=np.int64)
-    low[edge] = child
-    return dict(preorder=preorder, tin=tin, end=np.concatenate([[n], np.arange(1, n) + size]),
-                pdep=np.concatenate([[0.0], climb]), plen=np.concatenate([[0.0], plen]),
-                up=np.concatenate([[0], tin[par]]), low=low)
+    # a subtree ends after the down steps made up to its step back up
+    end = np.empty(n, dtype=np.int64)
+    end[0] = n
+    np.add(is_down.cumsum(dtype=i32).take(pos.take(rise)), 1, out=end[1:])
+    up = np.zeros(n, dtype=np.int64)
+    up[1:] = tin.take(head.take(rise))
+    return dict(preorder=preorder, tin=tin, end=end, pdep=pdep, plen=plen, up=up, low=low)
 
 
 def subtree_sums(tree: WeightedTree, vals: np.ndarray) -> np.ndarray:
     """Sum of vals over each position's subtree; vals holds preorder
     positions on its last axis."""
     pfx = np.zeros(vals.shape[:-1] + (tree.n + 1,))
-    np.cumsum(vals, axis=-1, out=pfx[..., 1:])
-    sub = np.take(pfx, tree.end, axis=-1)     # faster than [..., end] for few rows
+    vals.cumsum(axis=-1, out=pfx[..., 1:])
+    sub = pfx.take(tree.end, axis=-1)         # faster than [..., end] for few rows
     return np.subtract(sub, pfx[..., :-1], out=sub)
 
 
@@ -188,10 +207,11 @@ def root_path_sums(tree: WeightedTree, vals: np.ndarray) -> np.ndarray:
     which each subtree's values leave again at its end position."""
     n = tree.n
     rows = vals.reshape(-1, n)
-    ends = (np.arange(rows.shape[0])[:, None] * (n + 1) + tree.end).ravel()
-    left = np.bincount(ends, rows.ravel(), rows.size + rows.shape[0]).reshape(-1, n + 1)[:, :n]
+    size = rows.size + rows.shape[0]
+    ends = np.add.outer(np.arange(0, size, n + 1), tree.end).ravel()
+    left = np.bincount(ends, rows.ravel(), size).reshape(-1, n + 1)[:, :n]
     np.subtract(rows, left, out=left)
-    return np.cumsum(left, axis=-1, out=left).reshape(vals.shape)
+    return left.cumsum(axis=-1, out=left).reshape(vals.shape)
 
 
 def dist_sums(tree: WeightedTree, wm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,8 +229,9 @@ def dist_sums(tree: WeightedTree, wm: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def distances(tree: WeightedTree, sources) -> np.ndarray:
     """(k, n) distances from each 0-based source to every vertex, by vertex
     id: dist_sums of one-hot rows."""
-    S, _ = dist_sums(tree, (tree.tin[np.atleast_1d(sources), None] == np.arange(tree.n)) * 1.0)
-    return np.take(S, tree.tin, axis=-1)
+    hot = tree.tin[sources].reshape(-1, 1) == np.arange(tree.n)
+    S, _ = dist_sums(tree, hot.astype(np.float64))
+    return S.take(tree.tin, axis=-1)
 
 
 def cut_blocks(tree: WeightedTree) -> Iterator[tuple[np.ndarray, ...]]:
@@ -258,14 +279,20 @@ class EdgeBipartition:
     _in_a: np.ndarray = field(repr=False)
 
 
+def _side_a(tree: WeightedTree, e: int) -> np.ndarray:
+    """By vertex id, the side of edge e's deletion that holds its smaller
+    endpoint: the subtree below e, or everything else."""
+    low = tree.low[e]
+    start = tree.tin[low]
+    return ((tree.tin >= start) & (tree.tin < tree.end[start])) ^ (low != tree.eu[e])
+
+
 def split_by_edge(tree: WeightedTree, e: int) -> EdgeBipartition:
     if not (0 <= e < tree.n - 1):
         raise PreconditionError(f"edge index {e} out of range")
-    low = tree.low[e]
-    start = tree.tin[low]
-    in_a = ((tree.tin >= start) & (tree.tin < tree.end[start])) ^ (low != tree.eu[e])
-    side_a = np.flatnonzero(in_a) + 1
-    side_b = np.flatnonzero(~in_a) + 1
+    in_a = _side_a(tree, e)
+    side_a = in_a.nonzero()[0] + 1
+    side_b = (~in_a).nonzero()[0] + 1
     w_a = float(tree.w[in_a].sum())
     z_a = float(tree.z[in_a].sum())
     return EdgeBipartition(e, side_a, side_b,
@@ -292,8 +319,8 @@ class PathDescriptor:
 
 
 def _as_path(tree: WeightedTree, verts: np.ndarray, edges: np.ndarray) -> PathDescriptor:
-    prefix = np.concatenate([[0.0], np.cumsum(tree.length[edges])]) \
-        if edges.size else np.zeros(1)
+    prefix = np.zeros(edges.size + 1)
+    tree.length[edges].cumsum(out=prefix[1:])
     return PathDescriptor(verts + 1, edges, prefix)
 
 
@@ -307,12 +334,12 @@ def path_between(tree: WeightedTree, a: int, b: int) -> PathDescriptor:
     pos, i, j = np.arange(tree.n), tree.tin[a - 1], tree.tin[b - 1]
     over_a = (pos <= i) & (i < tree.end)
     over_b = (pos <= j) & (j < tree.end)
-    top = np.flatnonzero(over_a & over_b)[-1]
-    spots = np.concatenate([np.flatnonzero(over_a & ~over_b)[::-1], [top],
-                            np.flatnonzero(over_b & ~over_a)])
+    top = (over_a & over_b).nonzero()[0][-1:]
+    spots = np.concatenate(((over_a > over_b).nonzero()[0][::-1], top,
+                            (over_b > over_a).nonzero()[0]))
     # each position but the top meets its neighbour toward the top by its parent edge
     pedge = np.empty(tree.n, dtype=np.int64)
-    pedge[tree.tin[tree.low]] = np.arange(tree.n - 1)
+    pedge[tree.tin[tree.low]] = pos[:-1]
     return _as_path(tree, tree.preorder[spots], pedge[spots[spots != top]])
 
 
@@ -325,9 +352,16 @@ def diameter(tree: WeightedTree) -> PathDescriptor:
     consists of longest-path endpoints only).  The result is oriented to
     start at its smaller endpoint id.
     """
-    a = int(np.argmax(tree.pdep[tree.tin]))
-    b = int(np.argmax(distances(tree, a)[0]))
+    a, b, _ = _double_sweep(tree)
     return path_between(tree, min(a, b) + 1, max(a, b) + 1)
+
+
+def _double_sweep(tree: WeightedTree) -> tuple[int, int, np.ndarray]:
+    """diameter's endpoints, 0-based: a, the deepest vertex, and b, the
+    farthest from a; with a's distances by vertex id."""
+    a = int(tree.pdep[tree.tin].argmax())
+    da = distances(tree, a)[0]
+    return a, int(da.argmax()), da
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,15 +392,24 @@ def compress_onto_path(tree: WeightedTree, p: PathDescriptor) -> CompressedPath:
     """Anchor every vertex on path p: the deepest path vertex on its root
     path, or else the path's top (its highest vertex).  The anchor's
     position is a root-path sum of steps that telescope down the path."""
-    m, n = p.m, tree.n
     verts0 = p.vertices - 1
-    if verts0.min() < 0 or verts0.max() >= n:
+    if verts0.min() < 0 or verts0.max() >= tree.n:
         raise PreconditionError("path vertex out of range")
     spot = tree.tin[verts0]
     a, b = spot[:-1], spot[1:]
-    if np.unique(verts0).size != m or np.any((tree.up[a] != b) & (tree.up[b] != a)):
+    if np.unique(verts0).size != p.m or ((tree.up[a] != b) & (tree.up[b] != a)).any():
         raise PreconditionError("path does not belong to the tree")
     top = int(spot.min())
+    return _fold_onto_path(tree, p, top, distances(tree, tree.preorder[top])[0])
+
+
+def _fold_onto_path(tree: WeightedTree, p: PathDescriptor, top: int,
+                    d_top: np.ndarray) -> CompressedPath:
+    """compress_onto_path of a path of the tree, given its top position and
+    the distances from the top's vertex by vertex id."""
+    m, n = p.m, tree.n
+    verts0 = p.vertices - 1
+    spot = tree.tin[verts0]
     step = np.zeros(n)
     step[spot] = spot - tree.up[spot]
     step[top] = 0.0
@@ -374,9 +417,9 @@ def compress_onto_path(tree: WeightedTree, p: PathDescriptor) -> CompressedPath:
     anchor = tree.preorder[root_path_sums(tree, step).astype(np.int64)][tree.tin]
     label = np.empty(n, dtype=np.int64)
     label[verts0] = np.arange(m)
-    w_hat = np.bincount(label[anchor], weights=tree.w, minlength=m)
-    z_hat = np.bincount(label[anchor], weights=tree.z, minlength=m)
-    d_top = distances(tree, tree.preorder[top])[0]
+    at = label[anchor]
+    w_hat = np.bincount(at, weights=tree.w, minlength=m)
+    z_hat = np.bincount(at, weights=tree.z, minlength=m)
     hang_offset = float(np.dot(tree.w, d_top - d_top[anchor]))
     return CompressedPath(p, w_hat, z_hat, hang_offset)
 

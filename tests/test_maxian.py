@@ -1,15 +1,18 @@
 import random
 import warnings
 
+import numpy as np
 import pytest
 
-from treeloc import (PreconditionError, SolverConfig, brute_2maxian,
-                     brute_path_fpmax, build_tree, compress_onto_path,
-                     diameter, path_between, path_fpmax_sweep,
-                     solve_balanced_2maxian_cubic,
+from treeloc import (GenSpec, PreconditionError, SolverConfig, WeightedTree,
+                     brute_2maxian, brute_path_fpmax, build_tree,
+                     compress_onto_path, diameter, eval_f5, eval_transport,
+                     gen_random_tree, maxian_assignment, path_between,
+                     path_fpmax_sweep, solve_balanced_2maxian_cubic,
                      solve_balanced_2maxian_linear)
+from treeloc.maxian import linear_cut_table
 
-from conftest import random_int_path, random_int_tree
+from conftest import SHAPES, random_int_path, random_int_tree, shape_tree
 
 
 def test_t6b_both_methods(t6b):
@@ -136,3 +139,48 @@ def test_linear_picks_smallest_best_path_cut():
             top = max(v for _, v in vals)
             best = min(e for e, v in vals if v == top)
             assert solve_balanced_2maxian_linear(cfg, tree).deleted_edge == best
+
+
+def _relabelled(rng: random.Random, tree: WeightedTree) -> WeightedTree:
+    """The same tree with its vertex ids permuted at random."""
+    perm = np.array(rng.sample(range(tree.n), tree.n))     # old id -> new id
+    inv = np.argsort(perm)
+    return WeightedTree(tree.n, perm[tree.eu], perm[tree.ev], tree.length,
+                        tree.w[inv], tree.t[inv])
+
+
+def _route_trees():
+    """Shape trees of 2 to 40 vertices with positive lengths, every other
+    one with about a third of its weights zero, each also relabelled; and
+    float gen trees with uniform weights and service times."""
+    rng = random.Random(9103)
+    for kind in SHAPES:
+        for n in range(2, 41):
+            base = shape_tree(rng, kind, n, zero=n % 2 == 0)
+            lengths = [rng.randint(1, 5) for _ in range(n - 1)]
+            tree = WeightedTree(n, base.eu, base.ev, lengths, base.w, base.t)
+            yield tree
+            yield _relabelled(rng, tree)
+    for n, seed in ((5, 1), (40, 2), (300, 3), (2000, 4)):
+        yield gen_random_tree(GenSpec(n, seed, weight_mode="uniform",
+                                      service_mode="uniform"))
+
+
+def test_linear_pick_matches_assignment_route():
+    """The linear pick recomputes its cut from the side mask and the
+    table's two distance rows; the assignment route recomputes it from
+    scratch.  Both must give the same bits, on sweeps that pick more than
+    one edge."""
+    lams = [k / 10 for k in range(11)]
+    several_edges = 0
+    for tree in _route_trees():
+        table = linear_cut_table(tree)
+        edges = set()
+        for lam in lams:
+            sol = table.pick(lam, tree)
+            cut = maxian_assignment(tree, sol.deleted_edge, *sol.facilities)
+            assert (sol.transport.hex(), sol.f5.hex()) == \
+                (eval_transport(tree, cut).hex(), eval_f5(cut.partition).hex())
+            edges.add(sol.deleted_edge)
+        several_edges += len(edges) > 1
+    assert several_edges >= 200

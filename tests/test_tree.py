@@ -12,6 +12,8 @@ from treeloc.tree import dist_sums, distances
 
 from conftest import SHAPES, random_int_tree, shape_tree
 
+nan, inf = float("nan"), float("inf")
+
 
 def test_parse_t6_fixture(t6):
     assert t6.n == 6
@@ -263,8 +265,24 @@ def test_parse_names_a_late_line(line, value, want):
     (4, [(1, 2), (2, 3), (1, 3)], {}, "edge list does not connect all vertices"),
     (3, [(1, 2), (2, 2)], dict(lengths=[1.0, -1.0]), "self-loop edge"),
     (3, [(1, 2), (2, 4)], dict(lengths=[1.0, -1.0]), "edge endpoint out of range"),
+    # within one array a non-finite value is named before a negative one,
+    # and the arrays are named in the order length, w, t
+    (3, [(1, 2), (2, 3)], dict(lengths=[nan, -1.0]), "non-finite length value"),
+    (3, [(1, 2), (2, 3)], dict(lengths=[-1.0, nan]), "non-finite length value"),
+    (3, [(1, 2), (2, 3)], dict(lengths=[1.0, -1.0], w=[nan, 1.0, 1.0]), "negative length value"),
+    (3, [(1, 2), (2, 3)], dict(w=[1.0, -inf, 1.0]), "non-finite w value"),
+    (3, [(1, 2), (2, 3)], dict(w=[1.0, -1.0, 1.0], t=[nan, 1.0, 1.0]), "negative w value"),
+    (1, [], dict(w=[nan]), "non-finite w value"),
+    (1, [], dict(t=[-1.0]), "negative t value"),
+    # accepted: a negative zero is not negative, and the value check sums
+    # nothing, so the largest values do not overflow it
+    (3, [(1, 2), (2, 3)], dict(lengths=[-0.0, -0.0], w=[-0.0] * 3, t=[-0.0] * 3), None),
+    (3, [(1, 2), (1, 3)], dict(lengths=[1e308, 1e308], w=[1e308] * 3), None),
 ])
 def test_constructor_fault_precedence(n, edges, data, want):
+    if want is None:
+        assert build_tree(n, edges, **data).n == n
+        return
     with pytest.raises(TreeParseError) as err:
         build_tree(n, edges, **data)
     assert str(err.value) == want
