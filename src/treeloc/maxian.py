@@ -52,8 +52,9 @@ def cubic_cut_table(tree: WeightedTree) -> CutTable:
     S_all = dist_sums(tree, tree.w[tree.preorder][None])[0][0].take(tree.tin)
     f2 = np.empty(tree.n - 1)
     pairs = np.empty((tree.n - 1, 2), dtype=np.int64)
-    for edges, _, _, S in cut_blocks(tree):
-        B = S.take(tree.tin, axis=1)            # distance sums to side a, which x2 serves
+    for edges, _, w_a in cut_blocks(tree):
+        # distance sums to side a, which x2 serves
+        B = dist_sums(tree, w_a)[0].take(tree.tin, axis=1)
         pairs[edges, 0], pairs[edges, 1], f2[edges] = _best_pairs(S_all - B, B)
     pairs += 1
     return CutTable("maxian", "cubic", np.arange(tree.n - 1), f2, cut_imbalance(tree), pairs)

@@ -217,11 +217,14 @@ def _transport(tree: WeightedTree, in_a: np.ndarray, da: np.ndarray,
     return ta + tb
 
 
-def cut_imbalance(tree: WeightedTree) -> np.ndarray:
+def cut_imbalance(tree: WeightedTree, z_sub: np.ndarray | None = None) -> np.ndarray:
     """f5 of every edge deletion, in edge order: |z_a - z_b| with z_a the
-    z sum of the side holding the smaller endpoint, from subtree sums."""
+    z sum of the side holding the smaller endpoint, from z's subtree sums
+    (given, or computed here)."""
     Z = float(tree.z.sum())
-    z_low = subtree_sums(tree, tree.z[tree.preorder])[tree.tin[tree.low]]
+    if z_sub is None:
+        z_sub = subtree_sums(tree, tree.z[tree.preorder])
+    z_low = z_sub[tree.tin[tree.low]]
     z_a = np.where(tree.low == tree.eu, z_low, Z - z_low)
     return np.abs(z_a - (Z - z_a))
 

@@ -3,6 +3,8 @@
 Everything here favors literal enumeration over cleverness: plain adjacency
 lists, an explicit all-pairs distance table, and exhaustive facility loops.
 Instance sizes are capped so accidental use on large trees fails fast.
+The one exception is blocked_median_table, the uncapped O(n^2) per-edge
+median table that the O(n log n) median_cut_table is tested against.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError
-from .objectives import Solution, SolverConfig
-from .tree import CompressedPath, WeightedTree
+from .median import _one_median_swept
+from .objectives import CutTable, Solution, SolverConfig, cut_imbalance
+from .tree import CompressedPath, WeightedTree, cut_blocks, dist_sums
 
 DEFAULT_CAP = 16
 
@@ -97,6 +100,28 @@ def brute_2median(cfg: SolverConfig, tree: WeightedTree,
             best = (obj, e, m1 + 1, m2 + 1, f1, f5)
     obj, e, m1, m2, f1, f5 = best
     return Solution("median", "brute", e, tree.edge_tuple(e), (m1, m2), f1, f5, obj)
+
+
+def blocked_median_table(tree: WeightedTree) -> CutTable:
+    """The O(n^2) test oracle of median_cut_table: every edge deletion with
+    each side's 1-median from _one_median_swept over the side's mask, and
+    f1 from the side's distance sums at it, O(n) numpy work per edge, a
+    block of edges per call.  Uncapped, unlike the brute-force solvers."""
+    if tree.n < 2:
+        raise PreconditionError("balanced 2-median needs at least 2 vertices")
+    S_all, sub_all = dist_sums(tree, tree.w[tree.preorder][None])
+    f1 = np.empty(tree.n - 1)
+    medians = np.empty((tree.n - 1, 2), dtype=np.int64)
+    for edges, in_a, w_a in cut_blocks(tree):
+        S, sub = dist_sums(tree, w_a)
+        m1 = _one_median_swept(tree, in_a, sub)
+        m2 = _one_median_swept(tree, ~in_a, sub_all - sub)
+        rows, x1, x2 = np.arange(edges.size), tree.tin[m1], tree.tin[m2]
+        f1[edges] = S[rows, x1] + (S_all[0, x2] - S[rows, x2])
+        medians[edges, 0], medians[edges, 1] = m1, m2
+    medians += 1
+    return CutTable("median", "edge-deletion", np.arange(tree.n - 1), f1,
+                    cut_imbalance(tree), medians)
 
 
 def brute_2maxian(cfg: SolverConfig, tree: WeightedTree,

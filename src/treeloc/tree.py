@@ -234,24 +234,24 @@ def distances(tree: WeightedTree, sources) -> np.ndarray:
     return S.take(tree.tin, axis=-1)
 
 
-def cut_blocks(tree: WeightedTree) -> Iterator[tuple[np.ndarray, ...]]:
-    """Every edge deletion in blocks of about _BLOCK elements: (edges, in_a,
-    sub, S), where row j masks edges[j]'s side holding eu in preorder
-    positions, with that side's weight subtree sums and distance sums (the
-    other side's are the whole tree's minus these)."""
+def cut_blocks(tree: WeightedTree, edges: np.ndarray | None = None
+               ) -> Iterator[tuple[np.ndarray, ...]]:
+    """The deletions of edges (default: every edge) in blocks of about
+    _BLOCK elements: (edges, in_a, w_a), where row j masks edges[j]'s side
+    holding eu in preorder positions and w_a holds that side's weights
+    there, 0 elsewhere (the other side's are the whole tree's minus these)."""
     n = tree.n
-    edges = np.arange(n - 1)
-    start = tree.tin[tree.low]
+    edges = np.arange(n - 1) if edges is None else edges
+    start = tree.tin[tree.low[edges]]
     stop = tree.end[start]
-    flip = (tree.low != tree.eu)[:, None]
+    flip = (tree.low[edges] != tree.eu[edges])[:, None]
     w = tree.w[tree.preorder]
     pos = np.arange(n)
     k = max(1, _BLOCK // n)
-    for s in range(0, n - 1, k):
+    for s in range(0, edges.size, k):
         rows = slice(s, s + k)
         in_a = ((pos >= start[rows, None]) & (pos < stop[rows, None])) ^ flip[rows]
-        S, sub = dist_sums(tree, np.where(in_a, w, 0.0))
-        yield edges[rows], in_a, sub, S
+        yield edges[rows], in_a, np.where(in_a, w, 0.0)
 
 
 def dist(tree: WeightedTree, a: int, b: int) -> float:

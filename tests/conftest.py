@@ -1,10 +1,12 @@
 import random
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import treeloc
-from treeloc import build_tree, parse_tree
+from treeloc import WeightedTree, build_tree, parse_tree
 
 FIXTURES = Path(treeloc.__file__).parent / "fixtures"
 
@@ -67,3 +69,28 @@ def shape_tree(rng: random.Random, kind: str, n: int, zero: bool = False):
 
     t = [rng.randint(1, 5) for _ in range(n)]
     return build_tree(n, edges, draw(n - 1), draw(n), t)
+
+
+def relabelled(rng: random.Random, tree: WeightedTree) -> WeightedTree:
+    """The same tree with its vertex ids permuted at random."""
+    perm = np.array(rng.sample(range(tree.n), tree.n))     # old id -> new id
+    inv = np.argsort(perm)
+    return WeightedTree(tree.n, perm[tree.eu], perm[tree.ev], tree.length,
+                        tree.w[inv], tree.t[inv])
+
+
+def count_rows(monkeypatch, module, name: str) -> list[int]:
+    """Rows of each call of module.name from now on, in call order, read
+    from its second argument's first axis: the name is replaced in every
+    treeloc module that bound it."""
+    rows = []
+    orig = getattr(module, name)
+
+    def counted(tree, block, *args):
+        rows.append(block.shape[0])
+        return orig(tree, block, *args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("treeloc") and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return rows

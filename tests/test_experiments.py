@@ -1,12 +1,11 @@
 import io
 import math
 import random
-import sys
 
 import numpy as np
 import pytest
 
-from conftest import random_int_tree
+from conftest import count_rows, random_int_tree
 from treeloc import (ConfigError, ExperimentRecord, GenSpec, PreconditionError,
                      Solution, SolverConfig, SplitMix64, allocation_report,
                      build_tree, emit_csv, gen_random_tree, lambda_sweep,
@@ -236,37 +235,24 @@ def test_csv_floats_round_trip(t6b):
     assert float(row[13]) == recs[0].runtime_ms
 
 
-def _count_dist_sums(monkeypatch) -> list[int]:
-    """Rows of each dist_sums call from now on, in call order: the name is
-    replaced in every treeloc module that bound it."""
-    rows = []
-    orig = tree_module.dist_sums
-
-    def counted(tree, wm):
-        rows.append(wm.shape[0])
-        return orig(tree, wm)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("treeloc") and getattr(mod, "dist_sums", None) is orig:
-            monkeypatch.setattr(mod, "dist_sums", counted)
-    return rows
-
-
 @pytest.mark.parametrize("n", [2, 3, 12, 200, 700])
 def test_distance_sweeps_per_solve(monkeypatch, n):
     """A linear solve or sweep makes two distance sweeps over three rows:
     the deepest vertex, then the far endpoint with the path's top; its
-    picks read the table's rows.  The median and cubic tables make one
-    sweep for the whole tree and one per block of cuts."""
+    picks read the table's rows.  The cubic table makes one sweep for the
+    whole tree and one per block of cuts.  The median table makes none: its
+    costs come from subtree and root-path sums."""
     tree = gen_random_tree(GenSpec(n, 31, weight_mode="uniform"))
-    rows = _count_dist_sums(monkeypatch)
+    rows = count_rows(monkeypatch, tree_module, "dist_sums")
     solve_balanced_2maxian_linear(SolverConfig(0.5), tree)
     assert rows == [1, 2]
     rows.clear()
     lambda_sweep(tree, "maxian", [k / 10 for k in range(11)])
     assert rows == [1, 2]
+    rows.clear()
+    solve_balanced_2median(SolverConfig(0.5), tree)
+    assert rows == []
     blocks = math.ceil((n - 1) / max(1, tree_module._BLOCK // n))
-    for solve in (solve_balanced_2median, solve_balanced_2maxian_cubic):
-        rows.clear()
-        solve(SolverConfig(0.5), tree)
-        assert len(rows) == 1 + blocks
+    rows.clear()
+    solve_balanced_2maxian_cubic(SolverConfig(0.5), tree)
+    assert len(rows) == 1 + blocks

@@ -1,7 +1,6 @@
 import random
 import warnings
 
-import numpy as np
 import pytest
 
 from treeloc import (GenSpec, PreconditionError, SolverConfig, WeightedTree,
@@ -12,7 +11,8 @@ from treeloc import (GenSpec, PreconditionError, SolverConfig, WeightedTree,
                      solve_balanced_2maxian_linear)
 from treeloc.maxian import linear_cut_table
 
-from conftest import SHAPES, random_int_path, random_int_tree, shape_tree
+from conftest import (SHAPES, random_int_path, random_int_tree, relabelled,
+                      shape_tree)
 
 
 def test_t6b_both_methods(t6b):
@@ -141,14 +141,6 @@ def test_linear_picks_smallest_best_path_cut():
             assert solve_balanced_2maxian_linear(cfg, tree).deleted_edge == best
 
 
-def _relabelled(rng: random.Random, tree: WeightedTree) -> WeightedTree:
-    """The same tree with its vertex ids permuted at random."""
-    perm = np.array(rng.sample(range(tree.n), tree.n))     # old id -> new id
-    inv = np.argsort(perm)
-    return WeightedTree(tree.n, perm[tree.eu], perm[tree.ev], tree.length,
-                        tree.w[inv], tree.t[inv])
-
-
 def _route_trees():
     """Shape trees of 2 to 40 vertices with positive lengths, every other
     one with about a third of its weights zero, each also relabelled; and
@@ -160,7 +152,7 @@ def _route_trees():
             lengths = [rng.randint(1, 5) for _ in range(n - 1)]
             tree = WeightedTree(n, base.eu, base.ev, lengths, base.w, base.t)
             yield tree
-            yield _relabelled(rng, tree)
+            yield relabelled(rng, tree)
     for n, seed in ((5, 1), (40, 2), (300, 3), (2000, 4)):
         yield gen_random_tree(GenSpec(n, seed, weight_mode="uniform",
                                       service_mode="uniform"))

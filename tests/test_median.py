@@ -1,14 +1,19 @@
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from treeloc import (GenSpec, PreconditionError, SolverConfig, brute_2median,
-                     build_tree, gen_random_tree, one_median,
-                     solve_balanced_2median, split_by_edge)
+                     build_tree, eval_fpmed, gen_random_tree, median_assignment,
+                     one_median, solve_balanced_2median, split_by_edge)
+from treeloc import median as median_module
 from treeloc.median import median_cut_table
+from treeloc.objectives import TOLERANCE
+from treeloc.oracle import blocked_median_table
 
-from conftest import SHAPES, random_int_tree, shape_tree
+from conftest import SHAPES, count_rows, random_int_tree, relabelled, shape_tree
 
 
 def test_one_median_whole_tree(t6):
@@ -160,3 +165,93 @@ def test_table_names_smallest_exact_median():
         for e, (pair, f1) in enumerate(_exact_median_pairs(tree)):
             assert tuple(table.facilities[e]) == pair, (tree.n, e)
             assert abs(table.transport[e] - float(f1)) <= 1e-9 * (1 + float(f1))
+
+
+def _shape_trees(zero: bool):
+    """The five shapes at 2 to 40 vertices and at 100, 300 and 700, each
+    followed by a relabelled copy."""
+    rng = random.Random(1103 + zero)
+    for kind in SHAPES:
+        for n in list(range(2, 41)) + [100, 300, 700]:
+            tree = shape_tree(rng, kind, n, zero=zero)
+            yield tree
+            yield relabelled(rng, tree)
+
+
+def _family():
+    """The 200-tree reference family, then a relabelled copy of each."""
+    rng = random.Random(20240817)
+    family = [random_int_tree(rng, rng.randint(3, 12)) for _ in range(200)]
+    return family + [relabelled(rng, tree) for tree in family]
+
+
+def _assert_same_table(tree):
+    """Facilities, transport and f5 equal the blocked oracle's bit for bit."""
+    fast, blocked = median_cut_table(tree), blocked_median_table(tree)
+    assert np.array_equal(fast.edges, blocked.edges)
+    assert np.array_equal(fast.facilities, blocked.facilities), tree.n
+    assert fast.transport.tobytes() == blocked.transport.tobytes(), tree.n
+    assert fast.f5.tobytes() == blocked.f5.tobytes(), tree.n
+
+
+def test_table_matches_blocked_oracle_on_family(t6, t6b):
+    for tree in _family() + [t6, t6b]:
+        _assert_same_table(tree)
+
+
+@pytest.mark.parametrize("zero", [False, True])
+def test_table_matches_blocked_oracle_on_shapes(zero):
+    for tree in _shape_trees(zero):
+        _assert_same_table(tree)
+
+
+def test_table_matches_blocked_oracle_on_float_data():
+    """Non-integer weights and lengths: the same medians and f5, f1 within
+    TOLERANCE, and the same picked cut at every lambda."""
+    for n, seed in ((2, 1), (3, 2), (12, 3), (60, 4), (300, 5), (1500, 6)):
+        tree = gen_random_tree(GenSpec(n, seed, weight_mode="uniform",
+                                       service_mode="uniform"))
+        fast, blocked = median_cut_table(tree), blocked_median_table(tree)
+        assert np.array_equal(fast.facilities, blocked.facilities)
+        assert fast.f5.tobytes() == blocked.f5.tobytes()
+        assert np.all(np.abs(fast.transport - blocked.transport)
+                      <= TOLERANCE * (1.0 + np.abs(blocked.transport)))
+        for lam in (k / 10 for k in range(11)):
+            a, b = fast.pick(lam, tree), blocked.pick(lam, tree)
+            assert (a.deleted_edge, a.facilities) == (b.deleted_edge, b.facilities)
+
+
+def test_zero_data_alone_takes_the_swept_route(monkeypatch):
+    """Positive weights and lengths never call _one_median_swept; trees
+    with zero weights or lengths call it on some cuts, not on all."""
+    calls = count_rows(monkeypatch, median_module, "_one_median_swept")
+    for tree in _shape_trees(zero=False):
+        median_cut_table(tree)
+    for n, seed in ((2, 1), (200, 2), (3000, 3)):
+        median_cut_table(gen_random_tree(GenSpec(n, seed, weight_mode="uniform")))
+    assert calls == []
+    rows = cuts = 0
+    for tree in _shape_trees(zero=True):
+        calls.clear()
+        median_cut_table(tree)
+        rows += sum(calls) // 2
+        cuts += tree.n - 1
+    assert 0 < rows < cuts
+
+
+def test_scale_1e5():
+    """A 100,000-vertex solve, checked in O(n): the reported assignment
+    evaluates to the objective, and each side's 1-median is the reported
+    median.  The bound is loose: an O(n^2) table takes minutes here."""
+    tree = gen_random_tree(GenSpec(100_000, 77, weight_mode="uniform"))
+    cfg = SolverConfig(0.5)
+    t0 = time.perf_counter()
+    sol = solve_balanced_2median(cfg, tree)
+    elapsed = time.perf_counter() - t0
+    cut = median_assignment(tree, sol.deleted_edge, *sol.medians)
+    value = eval_fpmed(cfg, tree, cut)
+    assert abs(value - sol.objective) <= TOLERANCE * (1.0 + abs(sol.objective))
+    part = cut.partition
+    assert one_median(tree, part.side_a)[0] == sol.medians[0]
+    assert one_median(tree, part.side_b)[0] == sol.medians[1]
+    assert elapsed < 10.0
