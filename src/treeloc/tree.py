@@ -7,13 +7,15 @@ Conventions used across the package:
 * Edge indices refer to input order and are 0-based; stored endpoints are
   normalized so eu[e] < ev[e].
 
-WeightedTree caches one traversal rooted at vertex 0, built in a fixed
-number of numpy passes whatever the depth: an Euler tour ranked by pointer
-jumping, which also decides connectivity.  Three primitives over preorder
-positions then replace every walk: subtree sums (prefix-sum differences),
-root-path sums, and dist_sums, sum_v w[v] * d(v, x) for every x and every
-row of a block of weight rows.  Construction is O(n log n); a cut, a
-distance array or a distance sum is then O(n) numpy work at any depth.
+WeightedTree caches one traversal rooted at vertex 0, built in numpy
+passes of O(n) work whatever the depth: an Euler tour whose arcs a 16-bit
+radix sort groups by tail, ranked through a ruling set (plain pointer
+jumping below 2^14 arcs), which also decides connectivity.  Three
+primitives over preorder positions then replace every walk: subtree sums
+(prefix-sum differences), root-path sums, and dist_sums, sum_v w[v] *
+d(v, x) for every x and every row of a block of weight rows.  Construction
+is O(n) work (O(n log n) at worst, see _list_positions); a cut, a distance
+array or a distance sum is then O(n) numpy work at any depth.
 """
 
 from __future__ import annotations
@@ -62,8 +64,7 @@ class WeightedTree:
         n = self.n
         if n < 1:
             raise PreconditionError(f"tree needs at least 1 vertex, got {n}")
-        eu = np.asarray(self.eu, dtype=np.int64)
-        ev = np.asarray(self.ev, dtype=np.int64)
+        eu, ev = _endpoints(self.eu), _endpoints(self.ev)
         length = np.asarray(self.length, dtype=np.float64)
         w = np.asarray(self.w, dtype=np.float64)
         t = np.asarray(self.t, dtype=np.float64)
@@ -120,6 +121,31 @@ class WeightedTree:
         return int(self.eu[e]) + 1, int(self.ev[e]) + 1
 
 
+def _endpoints(col) -> np.ndarray:
+    """col as int64 edge endpoints.  An integer array passes as it is; a
+    float, complex or object one must hold integers only, checked before
+    the cast that would truncate 0.7 to 0.  A bool, non-finite or
+    fractional value raises TreeParseError, and so does one too large for
+    int64."""
+    arr = np.asarray(col)
+    if arr.dtype.kind == "O":       # Python numbers: typed by their values
+        arr = np.asarray(arr.tolist())
+    kind = arr.dtype.kind
+    if kind == "b":
+        raise TreeParseError("boolean edge endpoint")
+    if kind in "fc":
+        if not np.isfinite(arr).all():
+            raise TreeParseError("non-finite edge endpoint")
+        if kind == "c" and arr.imag.any():
+            raise TreeParseError("non-integer edge endpoint")
+        arr = arr.real
+        if (np.trunc(arr) != arr).any():
+            raise TreeParseError("non-integer edge endpoint")
+        if arr.size and np.abs(arr).max() >= 2.0 ** 63:
+            raise TreeParseError("edge endpoint out of range")
+    return arr.astype(np.int64, copy=False)
+
+
 def _rooted_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
                       length: np.ndarray) -> dict | None:
     """The traversal arrays rooted at vertex 0, or None when the edges do not
@@ -127,70 +153,143 @@ def _rooted_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
     back; slots group arcs by tail, in edge order, and the tour leaves a
     vertex by the slot after the reverse of the arc it came in by.  Cut
     before vertex 0's first slot, a tree's tour is one list through all
-    arcs, ranked by pointer jumping in ceil(log2(2n-2)) passes; any other
-    edge set leaves an arc off it or a vertex without arcs.  The tour's
-    down steps, in order, are preorder positions 1..n-1."""
+    arcs, which _list_positions ranks; any other edge set leaves an arc off
+    it or a vertex without arcs.  The tour's down steps, in order, are
+    preorder positions 1..n-1.  Every pass is O(n) work."""
     if n == 1:
         return dict(preorder=np.zeros(1, dtype=np.int64), tin=np.zeros(1, dtype=np.int64),
                     end=np.ones(1, dtype=np.int64), pdep=np.zeros(1), plen=np.zeros(1),
                     up=np.zeros(1, dtype=np.int64), low=np.zeros(0, dtype=np.int64))
     i32 = np.int32
-    m = 2 * (n - 1)
-    ends = np.concatenate((lo, hi, lo)).astype(i32)         # arc k: ends[k] -> ends[k + n-1]
+    e = n - 1
+    m = 2 * e
+    ends = np.concatenate((lo, hi, lo), dtype=i32)          # arc k: ends[k] -> ends[k + e]
     deg = np.bincount(ends[:m], minlength=n)
     if np.count_nonzero(deg) < n:
         return None
-    arc = ends[:m].argsort(kind="stable").astype(i32)       # slot -> arc
-    head = ends[n - 1:].take(arc)
-    del ends
+    arc = _group_by_tail(ends[:m], n)                       # slot -> arc
     seq = np.arange(m, dtype=i32)
     slot = np.empty(m, dtype=i32)                           # arc -> slot
     slot[arc] = seq
-    rev = slot.take((arc + (n - 1)) % m)                    # slot of the reverse arc
+    rev = np.concatenate((slot[e:], slot[:e])).take(arc)    # slot of the reverse arc
+    del slot
     cnt = deg.cumsum()
     succ = seq + 1                                          # the next slot around its tail
     succ[cnt - 1] = cnt - deg
-    succ = succ.take(rev)
-    # the arc into vertex 0 by the reverse of its last slot ends the list,
-    # pointing at itself
-    last = rev[deg[0] - 1]
-    succ[last] = last
-    del deg, cnt
-    rank = (seq != last).astype(i32)                        # hops to the end
-    for _ in range((m - 1).bit_length()):       # take gathers an int32 index faster than []
-        rank += rank.take(succ)
-        succ = succ.take(succ)
-    if np.count_nonzero(succ != last):
+    pos = _list_positions(succ.take(rev))                   # slot -> tour position
+    if pos is None:
         return None
-    del succ
-    pos = np.subtract(m - 1, rank, out=rank)                # slot -> tour position
-    tour = slot
+    del succ, deg, cnt
+    tour = np.empty(m, dtype=i32)                           # tour position -> slot
     tour[pos] = seq
-    del seq
-    is_down = (pos < pos.take(rev)).take(tour)
-    step = length.take(arc.take(tour) % (n - 1))
-    plen = np.zeros(n)
-    plen[1:] = step[is_down]
-    # depths sum the tour's steps, negated on the way up, in tour order
-    np.negative(step, out=step, where=~is_down)
-    pdep = np.zeros(n)
-    pdep[1:] = step.cumsum(out=step)[is_down]
-    del step
-    dn = tour[is_down]                                      # down slots in tour order
-    rise = rev.take(dn)                                     # and each one's step back up
+    back = pos.take(rev)                                    # each slot's reverse, by position
+    del rev, pos
+    # one index of the down steps: their tour positions, in order
+    dn = np.flatnonzero(back.take(tour) > seq)
+    ds = tour.take(dn)
+    rise = back.take(ds)                                    # and each one's step back up
+    del tour, back
+    a = arc.take(ds)
+    del arc, ds
     preorder = np.zeros(n, dtype=np.int64)
-    preorder[1:] = head.take(dn)
-    low = np.empty(n - 1, dtype=np.int64)
-    low[arc.take(dn) % (n - 1)] = preorder[1:]
+    preorder[1:] = ends[e:].take(a)
+    up = np.zeros(n, dtype=np.int64)
+    up[1:] = ends.take(a)                                   # parents, made positions below
+    edge = np.subtract(a, e, out=a, where=a >= e)
+    plen = np.zeros(n)
+    plen[1:] = length.take(edge)
+    # depths sum the tour's steps, negated on the way up, in tour order
+    step = np.empty(m)
+    step[dn] = plen[1:]
+    step[rise] = -plen[1:]
+    pdep = np.zeros(n)
+    pdep[1:] = step.cumsum(out=step).take(dn)
+    del step
+    low = np.empty(e, dtype=np.int64)
+    low[edge] = preorder[1:]
     tin = np.empty(n, dtype=np.int64)
-    tin[preorder] = np.arange(n)
-    # a subtree ends after the down steps made up to its step back up
+    at = np.arange(n)
+    tin[preorder] = at
+    up = tin.take(up)
+    # a subtree's steps lie between its step down and its step back up
     end = np.empty(n, dtype=np.int64)
     end[0] = n
-    np.add(is_down.cumsum(dtype=i32).take(pos.take(rise)), 1, out=end[1:])
-    up = np.zeros(n, dtype=np.int64)
-    up[1:] = tin.take(head.take(rise))
+    np.add(at[1:], (rise - dn + 1) >> 1, out=end[1:])
     return dict(preorder=preorder, tin=tin, end=end, pdep=pdep, plen=plen, up=up, low=low)
+
+
+def _group_by_tail(tail: np.ndarray, n: int) -> np.ndarray:
+    """The stable order of tail (values below n), as int32: numpy's stable
+    sort of 16-bit keys is a radix sort, one pass when n <= 2^16, else two,
+    low half first."""
+    order = tail.astype(np.uint16).argsort(kind="stable")
+    if n > 1 << 16:
+        order = order.take((tail >> 16).astype(np.uint16).take(order).argsort(kind="stable"))
+    return order.astype(np.int32)
+
+
+# a list of m >= _RULE_MIN elements is ranked through a ruling set of about
+# one element in m.bit_length() - 12 (3 at the crossover, 9 at m = 2e6); a
+# shorter list takes every element as a splitter, as there the walk's fixed
+# cost per step would outweigh the passes it saves
+_RULE_MIN = 1 << 14
+
+
+def _list_positions(succ: np.ndarray, k: int | None = None) -> np.ndarray | None:
+    """Each element's position on the list that starts at element 0 and
+    follows the permutation succ, cut where it returns to 0; None when the
+    list leaves an element off.  A ruling set: about one element in k is a
+    splitter, picked by a fixed hash of its index (0 always is).  All
+    splitters walk in step to the next one, and each element they pass
+    notes the splitter that reached it and after how many steps; a splitter
+    notes the same of the walk that ends on it.  Pointer jumping over those
+    links places the splitters, in ceil(log2(splitters)) passes, and each
+    element lands its steps after its own splitter: O(m) work for k about
+    log2 m.  With k = 1 there is no walk, which is plain pointer jumping.
+    A walk that exceeds its cap of k * bit_length(m) steps, which takes a
+    list built against the hash, starts the ranking over with k = 1, so no
+    list costs more than O(m log m)."""
+    i32 = np.int32
+    m = succ.size
+    if k is None:
+        k = m.bit_length() - 12 if m >= _RULE_MIN else 1
+    own = np.empty(m, dtype=i32)                            # the splitter that reached it
+    off = np.ones(m, dtype=i32)                             # and after how many steps
+    if k == 1:
+        own[succ] = np.arange(m, dtype=i32)
+    else:
+        spl = np.arange(m, dtype=np.uint32)
+        spl *= np.uint32(0x9E3779B1)                        # Fibonacci hashing, mod 2^32
+        spl = np.flatnonzero(spl < (1 << 32) // k).astype(i32)     # 0 hashes to 0
+        free = np.ones(m, dtype=bool)
+        free[spl] = False
+        who = np.arange(spl.size, dtype=i32)
+        cur = succ.take(spl)
+        own[cur] = who
+        reached = cur.size
+        cap = k * m.bit_length()
+        for step in range(2, cap + 2):
+            go = np.flatnonzero(free.take(cur))
+            if not go.size:
+                break
+            if step > cap:
+                return _list_positions(succ, 1)
+            cur = succ.take(cur.take(go))
+            who = who.take(go)
+            own[cur] = who
+            off[cur] = step
+            reached += cur.size
+        if reached < m:             # a cycle without a splitter
+            return None
+        del free, cur, who
+    own[0] = off[0] = 0         # the head has no predecessor: every chain ends there
+    up, place = (own, off) if k == 1 else (own.take(spl), off.take(spl))
+    for _ in range((up.size - 1).bit_length()):     # take gathers an int32 index faster than []
+        place += place.take(up)
+        up = up.take(up)
+    if np.count_nonzero(up):
+        return None
+    return place if k == 1 else place.take(own) + off
 
 
 def subtree_sums(tree: WeightedTree, vals: np.ndarray) -> np.ndarray:
@@ -602,8 +701,8 @@ def build_tree(n: int, edges: Sequence[tuple[int, int]],
                t: Sequence[float] | None = None) -> WeightedTree:
     """Construct a tree from 1-based edge pairs; omitted data defaults to 1."""
     edges = list(edges)
-    eu = np.array([u - 1 for u, _ in edges], dtype=np.int64)
-    ev = np.array([v - 1 for _, v in edges], dtype=np.int64)
+    eu = _endpoints([u for u, _ in edges]) - 1
+    ev = _endpoints([v for _, v in edges]) - 1
     length = np.ones(len(edges)) if lengths is None else np.asarray(lengths, dtype=np.float64)
     wv = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
     tv = np.ones(n) if t is None else np.asarray(t, dtype=np.float64)

@@ -42,23 +42,28 @@ def random_int_path(rng: random.Random, n: int):
 SHAPES = ("path", "star", "caterpillar", "broom", "random")
 
 
+def shape_parents(kind: str, n: int, pick) -> list[int]:
+    """The parents of vertices 2..n, 1-based, in a tree of the given shape;
+    a random tree takes vertex i's parent from pick(i), one of 1..i-1."""
+    if kind == "path":
+        return list(range(1, n))
+    if kind == "star":
+        return [1] * (n - 1)
+    if kind == "caterpillar":       # spine of about n/2, one leg per spine vertex
+        s = n - n // 2
+        return list(range(1, s)) + list(range(1, n - s + 1))
+    if kind == "broom":             # handle of about n/2, bristles on its end
+        h = n - n // 2
+        return list(range(1, h)) + [h] * (n - h)
+    return [pick(i) for i in range(2, n + 1)]
+
+
 def shape_tree(rng: random.Random, kind: str, n: int, zero: bool = False):
     """A tree of the given shape on n vertices, with its edges listed in a
     shuffled order and each edge's endpoints in a random order.  Lengths,
     weights and service times are integers in 1..5; with zero=True about a
     third of the lengths and weights are 0 instead."""
-    if kind == "path":
-        parents = list(range(1, n))
-    elif kind == "star":
-        parents = [1] * (n - 1)
-    elif kind == "caterpillar":     # spine of about n/2, one leg per spine vertex
-        s = n - n // 2
-        parents = list(range(1, s)) + list(range(1, n - s + 1))
-    elif kind == "broom":           # handle of about n/2, bristles on its end
-        h = n - n // 2
-        parents = list(range(1, h)) + [h] * (n - h)
-    else:
-        parents = [rng.randint(1, i - 1) for i in range(2, n + 1)]
+    parents = shape_parents(kind, n, lambda i: rng.randint(1, i - 1))
     edges = [(p, v) if rng.random() < 0.5 else (v, p)
              for p, v in zip(parents, range(2, n + 1))]
     rng.shuffle(edges)
@@ -94,3 +99,69 @@ def count_rows(monkeypatch, module, name: str) -> list[int]:
         if mod_name.startswith("treeloc") and getattr(mod, name, None) is orig:
             monkeypatch.setattr(mod, name, counted)
     return rows
+
+
+def tour_walk(tree: WeightedTree) -> dict:
+    """Every traversal array of a plain depth-first walk from vertex 0 by
+    the tour's rule, made with an explicit stack so that depth costs
+    nothing: a vertex lists the edges on which it is the smaller endpoint,
+    then those on which it is the larger, each group in edge order, and
+    leaves by the edge after the one it came in by.  Depths add an edge's
+    length on the way down and subtract it on the way up, in walk order,
+    as the tour sums them."""
+    n = tree.n
+    eu, ev, length = tree.eu.tolist(), tree.ev.tolist(), tree.length.tolist()
+    nbrs = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(zip(eu, ev)):
+        nbrs[u].append((v, e))
+    for e, (u, v) in enumerate(zip(eu, ev)):
+        nbrs[v].append((u, e))
+
+    def leaving(x, came):
+        k = 0 if came < 0 else [f for _, f in nbrs[x]].index(came) + 1
+        return iter([(y, f) for y, f in nbrs[x][k:] + nbrs[x][:k] if f != came])
+
+    tin, pdep, plen, up, end = [0] * n, [0.0] * n, [0.0] * n, [0] * n, [n] * n
+    low = [0] * (n - 1)
+    order, depth = [0], 0.0
+    stack = [(0, -1, leaving(0, -1))]
+    while stack:
+        x, came, rest = stack[-1]
+        step = next(rest, None)
+        if step is None:
+            stack.pop()
+            end[tin[x]] = len(order)
+            if came >= 0:
+                depth -= length[came]
+            continue
+        y, f = step
+        # a cumulative sum starts at its first term, not at 0.0 plus it:
+        # the two differ when that term is -0.0
+        depth = depth + length[f] if len(order) > 1 else length[f]
+        i = tin[y] = len(order)
+        order.append(y)
+        pdep[i], plen[i], up[i], low[f] = depth, length[f], tin[x], y
+        stack.append((y, f, leaving(y, f)))
+    return dict(preorder=np.array(order), tin=np.array(tin), end=np.array(end),
+                pdep=np.array(pdep), plen=np.array(plen), up=np.array(up),
+                low=np.array(low, dtype=np.int64))
+
+
+def assert_traversal_is_the_walk(tree: WeightedTree) -> None:
+    """Every traversal array of the tree equals tour_walk's, bit for bit."""
+    want = tour_walk(tree)
+    for name in ("preorder", "tin", "end", "pdep", "plen", "up", "low"):
+        got = getattr(tree, name)
+        assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), name
+
+
+def walk_positions(succ: np.ndarray) -> np.ndarray | None:
+    """Each element's position on the walk from element 0 along succ, or
+    None when the walk comes back to 0 before it reaches every element."""
+    pos = np.full(succ.size, -1)
+    x = 0
+    for i in range(succ.size):
+        if pos[x] >= 0:
+            return None
+        pos[x], x = i, succ[x]
+    return pos

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from treeloc import (GenSpec, PreconditionError, TreeParseError, WeightedTree,
                      all_pairs_dist, build_tree, compress_onto_path, diameter,
                      dist, gen_random_tree, one_median, parse_tree,
                      path_between, render_tree, split_by_edge)
+import treeloc.tree as tree_module
 from treeloc.tree import dist_sums, distances
 
-from conftest import SHAPES, random_int_tree, shape_tree
+from conftest import (SHAPES, assert_traversal_is_the_walk, random_int_tree, relabelled,
+                      shape_tree, tour_walk, walk_positions)
 
 nan, inf = float("nan"), float("inf")
 
@@ -274,6 +277,14 @@ def test_parse_names_a_late_line(line, value, want):
     (3, [(1, 2), (2, 3)], dict(w=[1.0, -1.0, 1.0], t=[nan, 1.0, 1.0]), "negative w value"),
     (1, [], dict(w=[nan]), "non-finite w value"),
     (1, [], dict(t=[-1.0]), "negative t value"),
+    # endpoints must be integers, checked before the cast to int64 that
+    # would truncate them; a non-finite one is named before a fractional one
+    (3, [(1, 2), (1.5, 3)], {}, "non-integer edge endpoint"),
+    (3, [(1, 2.5), (1, nan)], {}, "non-finite edge endpoint"),
+    (3, [(1, 2), (2, -inf)], dict(lengths=[1.0, -1.0]), "non-finite edge endpoint"),
+    (2, [(True, False)], {}, "boolean edge endpoint"),
+    (3, [(1, 2), (1e30, 3)], {}, "edge endpoint out of range"),
+    (3, [(1.0, 2.0), (3.0, 2.0)], {}, None),
     # accepted: a negative zero is not negative, and the value check sums
     # nothing, so the largest values do not overflow it
     (3, [(1, 2), (2, 3)], dict(lengths=[-0.0, -0.0], w=[-0.0] * 3, t=[-0.0] * 3), None),
@@ -286,6 +297,36 @@ def test_constructor_fault_precedence(n, edges, data, want):
     with pytest.raises(TreeParseError) as err:
         build_tree(n, edges, **data)
     assert str(err.value) == want
+
+
+@pytest.mark.parametrize("eu,ev,want", [
+    ([0.7], [1.9], "non-integer edge endpoint"),
+    ([True], [False], "boolean edge endpoint"),
+    ([nan], [1], "non-finite edge endpoint"),
+    ([0], [1 + 1j], "non-integer edge endpoint"),
+    (np.array([0.7], dtype=object), np.array([1.9], dtype=object), "non-integer edge endpoint"),
+    (np.array([True], dtype=object), [1], "boolean edge endpoint"),
+    (np.array([0], dtype=object), np.array([1.0], dtype=object), None),
+    ([0.0], [1.0], None),
+    (np.array([0], dtype=np.uint8), np.array([1], dtype=np.float32), None),
+    ([0], [1 + 0j], None),
+])
+def test_constructor_checks_endpoints_before_the_cast(eu, ev, want):
+    def build():
+        return WeightedTree(2, eu, ev, [1.0], [1.0, 1.0], [1.0, 1.0])
+    if want is None:
+        tree = build()
+        assert tree.eu.tolist() == [0] and tree.ev.tolist() == [1]
+        assert tree.eu.dtype == tree.ev.dtype == np.int64
+        return
+    with pytest.raises(TreeParseError) as err:
+        build()
+    assert str(err.value) == want
+
+
+def test_constructor_takes_empty_endpoints():
+    for col in ([], np.array([]), np.zeros(0, dtype=np.int32)):
+        assert WeightedTree(1, col, col, [], [1.0], [1.0]).eu.dtype == np.int64
 
 
 def test_render_parse_round_trip(t6):
@@ -519,33 +560,10 @@ def test_intervals_nest_and_match_parent():
             assert np.array_equal(np.flatnonzero(below[i]), np.arange(i, end[i]))
 
 
-def _tour_preorder(tree):
-    """Preorder of a plain depth-first walk from vertex 0 by the tour's
-    rule: a vertex lists the edges on which it is the smaller endpoint, then
-    those on which it is the larger, each group in edge order, and leaves
-    by the edge after the one it came in by."""
-    nbrs = [[] for _ in range(tree.n)]
-    for u, v in zip(tree.eu.tolist(), tree.ev.tolist()):
-        nbrs[u].append(v)
-    for u, v in zip(tree.eu.tolist(), tree.ev.tolist()):
-        nbrs[v].append(u)
-    order = []
-
-    def visit(x, came):
-        order.append(x)
-        k = nbrs[x].index(came) + 1 if came >= 0 else 0
-        for y in nbrs[x][k:] + nbrs[x][:k]:
-            if y != came:
-                visit(y, x)
-
-    visit(0, -1)
-    return order
-
-
 def test_preorder_follows_the_tour_rule():
     # vertex 3 lists (3,4) before (2,3) and (1,3): not edge-list order
     tree = build_tree(4, [(2, 3), (1, 3), (3, 4)])
-    assert (tree.preorder + 1).tolist() == [1, 3, 4, 2] == [v + 1 for v in _tour_preorder(tree)]
+    assert (tree.preorder + 1).tolist() == [1, 3, 4, 2] == (tour_walk(tree)["preorder"] + 1).tolist()
     # relabelled, so that children also get smaller ids than their parents
     rng = random.Random(404)
     for _ in range(400):
@@ -553,7 +571,63 @@ def test_preorder_follows_the_tour_rule():
         ids = rng.sample(range(1, base.n + 1), base.n)
         tree = build_tree(base.n, [(ids[u], ids[v]) for u, v in
                                    zip(base.eu.tolist(), base.ev.tolist())])
-        assert tree.preorder.tolist() == _tour_preorder(tree)
+        assert_traversal_is_the_walk(tree)
+
+
+@pytest.mark.parametrize("n", [10_000, 70_000])
+@pytest.mark.parametrize("kind", ["path", "star", "random"])
+def test_traversal_is_the_walk_on_large_trees(kind, n):
+    # relabelled, with fractional lengths, past the ruling-set crossover of
+    # 2^14 arcs; 70,000 vertices also need two radix passes to group arcs
+    rng = random.Random(n + len(kind))
+    tree = relabelled(rng, shape_tree(rng, kind, n))
+    assert_traversal_is_the_walk(WeightedTree(n, tree.eu, tree.ev, tree.length / 7,
+                                              tree.w, tree.t))
+
+
+def test_list_positions_past_the_walk_cap(monkeypatch):
+    """A list built against the splitter hash: 0, then every element that
+    is not a splitter, then the other splitters.  The walk from 0 runs past
+    its cap, and the ranking starts over by pointer jumping.  Cut into two
+    cycles, the list is rejected."""
+    m, k = 4096, 4
+    hashed = np.arange(m, dtype=np.uint32) * np.uint32(0x9E3779B1) < (1 << 32) // k
+    order = np.concatenate((np.flatnonzero(~hashed), np.flatnonzero(hashed)))
+    order = np.concatenate(([0], order[order != 0]))
+    succ = np.empty(m, dtype=np.int32)
+    succ[order] = np.roll(order, -1)
+    strides = []
+    rank = tree_module._list_positions
+    monkeypatch.setattr(tree_module, "_list_positions",
+                        lambda s, k=None: strides.append(k) or rank(s, k))
+    assert np.array_equal(tree_module._list_positions(succ, k), walk_positions(succ))
+    assert strides == [k, 1]
+    succ[order[m // 2 - 1]], succ[order[-1]] = 0, order[m // 2]
+    assert tree_module._list_positions(succ, k) is None
+
+
+def test_long_cycle_does_not_connect():
+    """n - 1 edges and no isolated vertex: a cycle on 1e5 vertices beside a
+    random tree on 2e4, relabelled and shuffled.  Its splitters never reach
+    the tour's head, so it is rejected at about the cost of a construction
+    (a cycle that holds no splitter is test_properties' list case)."""
+    rng = np.random.default_rng(5)
+    cycle, rest = 100_000, 20_000
+    n = cycle + rest
+    at = np.arange(cycle + 1, n)
+    parent = at - 1 - (rng.random(rest - 1) * (at - cycle)).astype(np.int64)
+    u = np.concatenate((np.arange(cycle), parent))
+    v = np.concatenate(((np.arange(cycle) + 1) % cycle, at))
+    perm, order = rng.permutation(n), rng.permutation(n - 1)
+    start = time.perf_counter()
+    with pytest.raises(TreeParseError, match="^edge list does not connect all vertices$"):
+        WeightedTree(n, perm[u][order], perm[v][order], np.ones(n - 1), np.ones(n), np.ones(n))
+    assert time.perf_counter() - start < 10.0
+    # a large edge list with a duplicate is named for it
+    eu, ev = np.arange(n - 1), np.arange(1, n)
+    eu[n // 2], ev[n // 2] = ev[7], eu[7]
+    with pytest.raises(TreeParseError, match="^duplicate edge$"):
+        WeightedTree(n, eu, ev, np.ones(n - 1), np.ones(n), np.ones(n))
 
 
 @pytest.mark.parametrize("kind", SHAPES)
