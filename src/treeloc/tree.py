@@ -143,7 +143,7 @@ def _endpoints(col) -> np.ndarray:
             raise TreeParseError("non-integer edge endpoint")
         if arr.size and np.abs(arr).max() >= 2.0 ** 63:
             raise TreeParseError("edge endpoint out of range")
-    return arr.astype(np.int64, copy=False)
+    return arr if arr.dtype == np.int64 else arr.astype(np.int64)
 
 
 def _rooted_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
@@ -185,7 +185,7 @@ def _rooted_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
     back = pos.take(rev)                                    # each slot's reverse, by position
     del rev, pos
     # one index of the down steps: their tour positions, in order
-    dn = np.flatnonzero(back.take(tour) > seq)
+    dn = (back.take(tour) > seq).nonzero()[0]
     ds = tour.take(dn)
     rise = back.take(ds)                                    # and each one's step back up
     del tour, back
@@ -208,7 +208,7 @@ def _rooted_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
     low = np.empty(e, dtype=np.int64)
     low[edge] = preorder[1:]
     tin = np.empty(n, dtype=np.int64)
-    at = np.arange(n)
+    at = seq[:n]
     tin[preorder] = at
     up = tin.take(up)
     # a subtree's steps lie between its step down and its step back up
