@@ -277,6 +277,10 @@ def test_parse_names_a_late_line(line, value, want):
     (3, [(1, 2), (2, 3)], dict(w=[1.0, -1.0, 1.0], t=[nan, 1.0, 1.0]), "negative w value"),
     (1, [], dict(w=[nan]), "non-finite w value"),
     (1, [], dict(t=[-1.0]), "negative t value"),
+    # accepted: a negative zero is not negative, and the value check sums
+    # nothing, so the largest values do not overflow it
+    (3, [(1, 2), (2, 3)], dict(lengths=[-0.0, -0.0], w=[-0.0] * 3, t=[-0.0] * 3), None),
+    (3, [(1, 2), (1, 3)], dict(lengths=[1e308, 1e308], w=[1e308] * 3), None),
     # endpoints must be integers, checked before the cast to int64 that
     # would truncate them; a non-finite one is named before a fractional one
     (3, [(1, 2), (1.5, 3)], {}, "non-integer edge endpoint"),
@@ -285,10 +289,6 @@ def test_parse_names_a_late_line(line, value, want):
     (2, [(True, False)], {}, "boolean edge endpoint"),
     (3, [(1, 2), (1e30, 3)], {}, "edge endpoint out of range"),
     (3, [(1.0, 2.0), (3.0, 2.0)], {}, None),
-    # accepted: a negative zero is not negative, and the value check sums
-    # nothing, so the largest values do not overflow it
-    (3, [(1, 2), (2, 3)], dict(lengths=[-0.0, -0.0], w=[-0.0] * 3, t=[-0.0] * 3), None),
-    (3, [(1, 2), (1, 3)], dict(lengths=[1e308, 1e308], w=[1e308] * 3), None),
 ])
 def test_constructor_fault_precedence(n, edges, data, want):
     if want is None:
