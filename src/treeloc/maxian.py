@@ -15,7 +15,7 @@ import numpy as np
 from .errors import PreconditionError
 from .objectives import CutTable, Solution, SolverConfig, cut_imbalance, objective
 from .tree import (CompressedPath, WeightedTree, _double_sweep, _fold_onto_path,
-                   cut_blocks, dist_sums, distances, path_between)
+                   cut_blocks, dist_sums, distances)
 
 
 def _best_pairs(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -94,10 +94,10 @@ def path_fpmax_sweep(cfg: SolverConfig, cp: CompressedPath) -> list[tuple[int, f
 
 def linear_cut_table(tree: WeightedTree) -> CutTable:
     """Place facilities at the diameter endpoints, compress all demand onto
-    the diameter path, and score the path edges.  Two distance sweeps do
-    it: one from the deepest vertex a finds the far endpoint b, one block
-    of two rows covers b and the path's top, which compression needs.  The
-    table keeps the rows of a and b for its picks to recompute from.
+    the diameter path, and score the path edges.  Two one-row distance
+    sweeps do it: from the deepest vertex a, which finds the far endpoint
+    b, and from b.  Compression reads the hanging distances off a's row.
+    The table keeps the rows of a and b for its picks to recompute from.
     Requires strictly positive edge lengths for the endpoint-optimality
     guarantee; with any zero-length edge it warns and builds the cubic
     table instead."""
@@ -108,11 +108,9 @@ def linear_cut_table(tree: WeightedTree) -> CutTable:
             "guaranteed, falling back to the cubic method",
             RuntimeWarning, stacklevel=2)
         return cubic_cut_table(tree)
-    a, b, da = _double_sweep(tree)
-    path = path_between(tree, min(a, b) + 1, max(a, b) + 1)
-    top = int(tree.tin[path.vertices - 1].min())
-    db, d_top = distances(tree, [b, tree.preorder[top]])
-    transport, f5 = _path_terms(_fold_onto_path(tree, path, top, d_top))
+    a, b, da, path = _double_sweep(tree)
+    db = distances(tree, b)[0]
+    transport, f5 = _path_terms(_fold_onto_path(tree, path, da))
     ends = path.vertices[[0, -1]]
     # x1 serves the larger-endpoint side; the endpoint on the prefix side of
     # the deleted path edge serves the suffix side and vice versa

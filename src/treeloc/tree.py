@@ -126,12 +126,15 @@ def _endpoints(col) -> np.ndarray:
     float, complex or object one must hold integers only, checked before
     the cast that would truncate 0.7 to 0.  A bool, non-finite or
     fractional value raises TreeParseError, and so does one too large for
-    int64."""
+    int64.  numpy casts a bool among ints to 1, so a list, tuple or object
+    column is searched for bools before its cast."""
     arr = np.asarray(col)
     if arr.dtype.kind == "O":       # Python numbers: typed by their values
-        arr = np.asarray(arr.tolist())
+        col = arr.tolist()
+        arr = np.asarray(col)
     kind = arr.dtype.kind
-    if kind == "b":
+    if kind == "b" or (isinstance(col, (list, tuple))
+                       and not {bool, np.bool_}.isdisjoint(map(type, col))):
         raise TreeParseError("boolean edge endpoint")
     if kind in "fc":
         if not np.isfinite(arr).all():
@@ -451,16 +454,16 @@ def diameter(tree: WeightedTree) -> PathDescriptor:
     consists of longest-path endpoints only).  The result is oriented to
     start at its smaller endpoint id.
     """
-    a, b, _ = _double_sweep(tree)
-    return path_between(tree, min(a, b) + 1, max(a, b) + 1)
+    return _double_sweep(tree)[3]
 
 
-def _double_sweep(tree: WeightedTree) -> tuple[int, int, np.ndarray]:
+def _double_sweep(tree: WeightedTree) -> tuple[int, int, np.ndarray, PathDescriptor]:
     """diameter's endpoints, 0-based: a, the deepest vertex, and b, the
-    farthest from a; with a's distances by vertex id."""
+    farthest from a; a's distances by vertex id; and diameter's path."""
     a = int(tree.pdep[tree.tin].argmax())
     da = distances(tree, a)[0]
-    return a, int(da.argmax()), da
+    b = int(da.argmax())
+    return a, b, da, path_between(tree, min(a, b) + 1, max(a, b) + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,17 +501,17 @@ def compress_onto_path(tree: WeightedTree, p: PathDescriptor) -> CompressedPath:
     a, b = spot[:-1], spot[1:]
     if np.unique(verts0).size != p.m or ((tree.up[a] != b) & (tree.up[b] != a)).any():
         raise PreconditionError("path does not belong to the tree")
-    top = int(spot.min())
-    return _fold_onto_path(tree, p, top, distances(tree, tree.preorder[top])[0])
+    return _fold_onto_path(tree, p, distances(tree, tree.preorder[spot.min()])[0])
 
 
-def _fold_onto_path(tree: WeightedTree, p: PathDescriptor, top: int,
-                    d_top: np.ndarray) -> CompressedPath:
-    """compress_onto_path of a path of the tree, given its top position and
-    the distances from the top's vertex by vertex id."""
+def _fold_onto_path(tree: WeightedTree, p: PathDescriptor, d: np.ndarray) -> CompressedPath:
+    """compress_onto_path of a path of the tree, given the distances d from
+    any of its vertices q by vertex id: d(v, q) = d(v, anchor(v)) +
+    d(anchor(v), q), so v hangs d[v] - d[anchor(v)] off the path."""
     m, n = p.m, tree.n
     verts0 = p.vertices - 1
     spot = tree.tin[verts0]
+    top = int(spot.min())
     step = np.zeros(n)
     step[spot] = spot - tree.up[spot]
     step[top] = 0.0
@@ -519,7 +522,7 @@ def _fold_onto_path(tree: WeightedTree, p: PathDescriptor, top: int,
     at = label[anchor]
     w_hat = np.bincount(at, weights=tree.w, minlength=m)
     z_hat = np.bincount(at, weights=tree.z, minlength=m)
-    hang_offset = float(np.dot(tree.w, d_top - d_top[anchor]))
+    hang_offset = float(np.dot(tree.w, d - d[anchor]))
     return CompressedPath(p, w_hat, z_hat, hang_offset)
 
 

@@ -21,6 +21,16 @@ def t6b():
     return parse_tree((FIXTURES / "t6b.tree").read_text())
 
 
+@pytest.fixture
+def gap3():
+    return parse_tree((FIXTURES / "gap3.tree").read_text())
+
+
+@pytest.fixture
+def gap4():
+    return parse_tree((FIXTURES / "gap4.tree").read_text())
+
+
 def random_int_tree(rng: random.Random, n: int):
     """Random recursive tree with integer weights, service times, and
     lengths drawn from [1, 5]."""

@@ -237,18 +237,18 @@ def test_csv_floats_round_trip(t6b):
 
 @pytest.mark.parametrize("n", [2, 3, 12, 200, 700])
 def test_distance_sweeps_per_solve(monkeypatch, n):
-    """A linear solve or sweep makes two distance sweeps over three rows:
-    the deepest vertex, then the far endpoint with the path's top; its
-    picks read the table's rows.  The cubic table makes one sweep for the
-    whole tree and one per block of cuts.  The median table makes none: its
-    costs come from subtree and root-path sums."""
+    """A linear solve or sweep makes two distance sweeps of one row each:
+    the deepest vertex a, then the far endpoint; compression reads a's row,
+    and the picks read the table's rows.  The cubic table makes one sweep
+    for the whole tree and one per block of cuts.  The median table makes
+    none: its costs come from subtree and root-path sums."""
     tree = gen_random_tree(GenSpec(n, 31, weight_mode="uniform"))
     rows = count_rows(monkeypatch, tree_module, "dist_sums")
     solve_balanced_2maxian_linear(SolverConfig(0.5), tree)
-    assert rows == [1, 2]
+    assert rows == [1, 1]
     rows.clear()
     lambda_sweep(tree, "maxian", [k / 10 for k in range(11)])
-    assert rows == [1, 2]
+    assert rows == [1, 1]
     rows.clear()
     solve_balanced_2median(SolverConfig(0.5), tree)
     assert rows == []

@@ -28,6 +28,35 @@ def test_t6b_both_methods(t6b):
     assert solve_balanced_2maxian_linear(cfg, t6b).method == "linear"
 
 
+def _terms(sol):
+    return sol.edge_uv, sol.facilities, sol.transport, sol.f5, sol.objective
+
+
+def test_gap3_same_side_optimum(gap3):
+    """The smallest tree on which the diameter endpoints miss the optimum:
+    on the path 1-2-3 the best pair on the linear method's own cut has both
+    facilities on one side.  At lambda = 1 the endpoints are optimal."""
+    cfg = SolverConfig(0.1)
+    assert _terms(solve_balanced_2maxian_linear(cfg, gap3)) == ((2, 3), (1, 3), 13.0, 22.0, -18.5)
+    best = ((2, 3), (2, 1), 16.0, 22.0, -18.2)
+    assert _terms(solve_balanced_2maxian_cubic(cfg, gap3)) == best
+    assert _terms(brute_2maxian(cfg, gap3)) == best
+    at_1 = SolverConfig(1.0)
+    assert (solve_balanced_2maxian_linear(at_1, gap3).objective
+            == solve_balanced_2maxian_cubic(at_1, gap3).objective == 23.0)
+
+
+def test_gap4_optimal_cut_off_the_diameter(gap4):
+    """The smallest tree whose optimal cut lies off the diameter path: the
+    star on vertex 2, whose diameter 1-2-3 leaves out edge (2,4)."""
+    cfg = SolverConfig(0.0)
+    assert diameter(gap4).edges.tolist() == [0, 1]
+    assert _terms(solve_balanced_2maxian_linear(cfg, gap4)) == ((2, 3), (1, 3), 89.0, 26.0, -26.0)
+    best = ((2, 4), (3, 4), 73.0, 18.0, -18.0)
+    assert _terms(solve_balanced_2maxian_cubic(cfg, gap4)) == best
+    assert _terms(brute_2maxian(cfg, gap4)) == best
+
+
 def test_t6b_path_sweep_values(t6b):
     cfg = SolverConfig(0.5)
     cp = compress_onto_path(t6b, diameter(t6b))

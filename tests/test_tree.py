@@ -310,18 +310,35 @@ def test_constructor_fault_precedence(n, edges, data, want):
     ([0.0], [1.0], None),
     (np.array([0], dtype=np.uint8), np.array([1], dtype=np.float32), None),
     ([0], [1 + 0j], None),
+    # a bool among ints, which numpy would cast to 1, in a list, a tuple or
+    # an object column
+    ([0, True], [1, 2], "boolean edge endpoint"),
+    ([0, 1], (1, True), "boolean edge endpoint"),
+    ([0, np.True_], [1, 2], "boolean edge endpoint"),
+    (np.array([0, True], dtype=object), [1, 2], "boolean edge endpoint"),
+    (np.array([0, np.False_], dtype=object), np.array([1, 2], dtype=object),
+     "boolean edge endpoint"),
+    ((0, 1), np.array([1, 2], dtype=object), None),
 ])
 def test_constructor_checks_endpoints_before_the_cast(eu, ev, want):
-    def build():
-        return WeightedTree(2, eu, ev, [1.0], [1.0, 1.0], [1.0, 1.0])
-    if want is None:
-        tree = build()
-        assert tree.eu.tolist() == [0] and tree.ev.tolist() == [1]
-        assert tree.eu.dtype == tree.ev.dtype == np.int64
-        return
-    with pytest.raises(TreeParseError) as err:
-        build()
-    assert str(err.value) == want
+    """Each row builds the path 0 - 1 - ... by WeightedTree, and by
+    build_tree from the same values made 1-based (a bool stays a bool)."""
+    n = len(eu) + 1
+
+    def one_based(col):
+        return [x if isinstance(x, (bool, np.bool_)) else x + 1 for x in col]
+
+    for build in (lambda: WeightedTree(n, eu, ev, [1.0] * (n - 1), [1.0] * n, [1.0] * n),
+                  lambda: build_tree(n, list(zip(one_based(eu), one_based(ev))))):
+        if want is None:
+            tree = build()
+            assert tree.eu.tolist() == list(range(n - 1))
+            assert tree.ev.tolist() == list(range(1, n))
+            assert tree.eu.dtype == tree.ev.dtype == np.int64
+            continue
+        with pytest.raises(TreeParseError) as err:
+            build()
+        assert str(err.value) == want
 
 
 def test_constructor_takes_empty_endpoints():
@@ -501,6 +518,27 @@ def test_compress_mass_is_conserved():
         cp = compress_onto_path(tree, diameter(tree))
         assert cp.W == float(tree.w.sum())
         assert cp.Z == tree.Z
+
+
+def test_fold_reads_the_hanging_distances_from_any_path_vertex():
+    """The fold from any vertex q of a path equals compress_onto_path, which
+    folds from the path's top: a vertex's distance to q is its distance to
+    its anchor plus the anchor's to q.  The data are integers, so the
+    hanging offset is exact."""
+    rng = random.Random(1302)
+    for kind in SHAPES:
+        for n in (2, 3, 4, 7, 12, 40):
+            for zero in (False, True):
+                tree = shape_tree(rng, kind, n, zero)
+                for t in (tree, relabelled(rng, tree)):
+                    a, b = rng.randint(1, n), rng.randint(1, n)
+                    for p in (diameter(t), path_between(t, a, b)):
+                        cp = compress_onto_path(t, p)
+                        for q in p.vertices - 1:
+                            got = tree_module._fold_onto_path(t, p, distances(t, q)[0])
+                            assert got.w_hat.tobytes() == cp.w_hat.tobytes()
+                            assert got.z_hat.tobytes() == cp.z_hat.tobytes()
+                            assert got.hang_offset == cp.hang_offset
 
 
 def _kernel_cases():
