@@ -22,10 +22,9 @@ import random
 import numpy as np
 
 from treeloc import (SolverConfig, all_pairs_dist, build_tree, diameter,
-                     solve_balanced_2maxian_linear)
+                     solve_balanced_2maxian_linear, split_by_edge)
 from treeloc.maxian import cubic_cut_table
 from treeloc.objectives import cut_imbalance, objective
-from treeloc.tree import _side_a
 
 LAMBDAS = [k / 10 for k in range(11)]
 
@@ -48,7 +47,8 @@ def opposite_side_terms(tree):
     D = all_pairs_dist(tree)
     best = np.empty(tree.n - 1)
     for e in range(tree.n - 1):
-        in_a = _side_a(tree, e)
+        in_a = np.zeros(tree.n, dtype=bool)
+        in_a[split_by_edge(tree, e).side_a - 1] = True
         to_b = (tree.w * ~in_a) @ D         # side b's transport to each vertex
         to_a = (tree.w * in_a) @ D
         best[e] = to_b[in_a].max() + to_a[~in_a].max()

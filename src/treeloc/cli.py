@@ -19,8 +19,7 @@ import numpy as np
 from .errors import ConfigError, PreconditionError, TreeParseError
 from .experiments import (ExperimentRecord, GenSpec, _gen_columns,
                           allocation_report, check_method, check_problem,
-                          emit_csv, lambda_sweep, make_record, pareto_front,
-                          record_fields, sweep_solutions)
+                          emit_csv, lambda_sweep, pareto_front, record_fields)
 from .objectives import SolverConfig
 from .oracle import DEFAULT_CAP, brute_2maxian, brute_2median
 from .tree import _fmt, _render_columns, parse_tree
@@ -151,18 +150,18 @@ def _parse_lambdas(text: str) -> list[float]:
 
 
 def _solve_once(args, problem: str):
-    """(tree, record, solution) of one lambda; everything is checked
-    before the input is read."""
+    """(tree, record) of one lambda, the record from lambda_sweep;
+    everything is checked before the input is read."""
     _check_format(args.format)
     method = getattr(args, "method", "linear")
     check_method(method)
     lam = SolverConfig(args.lam).lam
     tree = _load_tree(args.input)
-    return tree, *sweep_solutions(tree, problem, [lam], method)[0]
+    return tree, lambda_sweep(tree, problem, [lam], method)[0]
 
 
 def _cmd_solve(args, problem: str) -> int:
-    _, rec, _ = _solve_once(args, problem)
+    _, rec = _solve_once(args, problem)
     return _emit_record(args, rec)
 
 
@@ -175,7 +174,8 @@ def _cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     sol = brute(cfg, tree, cap=args.cap)
     ms = (time.perf_counter() - t0) * 1e3
-    return _emit_record(args, make_record(sol, cfg.lam, tree.n, ms))
+    return _emit_record(args, ExperimentRecord(**vars(sol), lam=cfg.lam, n=tree.n,
+                                               runtime_ms=ms))
 
 
 def _cmd_sweep(args) -> int:
@@ -228,8 +228,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_report(args) -> int:
     check_problem(args.problem)
-    tree, rec, sol = _solve_once(args, args.problem)
-    dev = allocation_report(sol, tree)
+    tree, rec = _solve_once(args, args.problem)
+    dev = allocation_report(rec, tree)
     return _emit(args, _summary(rec) + f"\ndeviations {dev}",
                  {**record_fields(rec), "deviations": dev},
                  "problem,method,lambda,deviations\n"

@@ -115,38 +115,29 @@ def _gen_columns(spec: GenSpec) -> tuple:
     return n, parents, ev, lengths, w, t
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One solver run; transport holds f1 (median) or f2 (maxian)."""
+@dataclass(frozen=True, kw_only=True)
+class ExperimentRecord(Solution):
+    """One solver run: the Solution it picked, with the run's own fields.
 
-    test_id: int
-    n: int
-    seed: int
-    problem: str
-    method: str
+    lam is the run's lambda and n its tree's size; runtime_ms is the time
+    the run took; test_id and seed label the run for its caller.  The
+    problem is checked first (ConfigError), then Solution's finiteness,
+    then that objective equals objective(lam, transport, f5, problem)."""
+
     lam: float
-    transport: float
-    f5: float
-    objective: float
-    edge_uv: tuple[int, int]
-    facilities: tuple[int, int]
+    n: int
     runtime_ms: float
+    test_id: int = 0
+    seed: int = 0
 
     def __post_init__(self):
         check_problem(self.problem)
+        super().__post_init__()
         expect = objective(self.lam, self.transport, self.f5, self.problem)
         if abs(expect - self.objective) > TOLERANCE * (1.0 + abs(self.objective)):
             raise PreconditionError(
                 f"record objective {self.objective} inconsistent with its "
                 f"components ({expect} expected)")
-
-
-def make_record(sol: Solution, lam: float, n: int, runtime_ms: float,
-                test_id: int = 0, seed: int = 0) -> ExperimentRecord:
-    """The record of one solution at lam."""
-    return ExperimentRecord(test_id, n, seed, sol.problem, sol.method, lam,
-                            sol.transport, sol.f5, sol.objective, sol.edge_uv,
-                            sol.facilities, runtime_ms)
 
 
 def check_problem(problem: str):
@@ -169,10 +160,12 @@ SOLVERS = {
 }
 
 
-def sweep_solutions(tree: WeightedTree, problem: str, lambdas: Iterable[float],
-                    method: str = "linear", test_id: int = 0, seed: int = 0
-                    ) -> list[tuple[ExperimentRecord, Solution]]:
-    """(record, solution) per lambda, all picked from one cut table.
+def lambda_sweep(tree: WeightedTree, problem: str, lambdas: Iterable[float],
+                 method: str = "linear", test_id: int = 0,
+                 seed: int = 0) -> list[ExperimentRecord]:
+    """One record per lambda value, all picked from one cut table built by
+    the fast solver for the problem (the linear method for maxian unless
+    method="cubic" is asked for).
 
     The problem, the method and every lambda are checked before any work.
     Each record's runtime_ms is the time to pick its lambda's cut; the
@@ -189,20 +182,10 @@ def sweep_solutions(tree: WeightedTree, problem: str, lambdas: Iterable[float],
     for cfg in cfgs:
         sol = table.pick(cfg.lam, tree)
         ms = (time.perf_counter() - t0) * 1e3
-        out.append((make_record(sol, cfg.lam, tree.n, ms, test_id=test_id,
-                                seed=seed), sol))
+        out.append(ExperimentRecord(**vars(sol), lam=cfg.lam, n=tree.n, runtime_ms=ms,
+                                    test_id=test_id, seed=seed))
         t0 = time.perf_counter()
     return out
-
-
-def lambda_sweep(tree: WeightedTree, problem: str, lambdas: Iterable[float],
-                 method: str = "linear", test_id: int = 0,
-                 seed: int = 0) -> list[ExperimentRecord]:
-    """One record per lambda value, using the fast solver for the problem
-    (the linear method for maxian unless method="cubic" is asked for).
-    The cut table is built once for the whole sweep."""
-    return [rec for rec, _ in sweep_solutions(tree, problem, lambdas, method,
-                                              test_id, seed)]
 
 
 def pareto_front(tree: WeightedTree, problem: str,

@@ -200,10 +200,11 @@ def maxian_assignment(tree: WeightedTree, e: int, x1: int, x2: int) -> Assignmen
 
 
 def eval_transport(tree: WeightedTree, assignment: Assignment) -> float:
-    """Sum over both sides of w_i * d(v_i, serving facility)."""
-    for f in (assignment.serve_a, assignment.serve_b):
-        if not (1 <= f <= tree.n):
-            raise PreconditionError(f"facility id {f} out of range")
+    """Sum over both sides of w_i * d(v_i, serving facility).  The
+    assignment must come from this tree: one whose partition has another
+    size raises PreconditionError."""
+    if assignment.partition._in_a.size != tree.n:
+        raise PreconditionError("assignment belongs to a tree of another size")
     da, db = distances(tree, [assignment.serve_a - 1, assignment.serve_b - 1])
     return _transport(tree, assignment.partition._in_a, da, db)
 

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -125,6 +126,29 @@ def test_lambda_sweep_t6b_maxian(t6b):
     assert cub[0].method == "cubic"
 
 
+@pytest.mark.parametrize("problem,method,solver", [
+    ("median", "linear", solve_balanced_2median),
+    ("maxian", "linear", solve_balanced_2maxian_linear),
+    ("maxian", "cubic", solve_balanced_2maxian_cubic)])
+def test_lambda_sweep_records_are_the_picked_solutions(t6, t6b, problem, method, solver):
+    """A record is the solver's Solution, deleted edge and aliases too, with
+    the run's own fields added."""
+    own = ["lam", "n", "runtime_ms", "test_id", "seed"]
+    assert [f.name for f in fields(ExperimentRecord)] == \
+        [f.name for f in fields(Solution)] + own
+    lams = [0.0, 0.3, 1.0]
+    for tree in (t6, t6b):
+        for lam, rec in zip(lams, lambda_sweep(tree, problem, lams, method,
+                                               test_id=4, seed=9)):
+            sol = solver(SolverConfig(lam), tree)
+            assert isinstance(rec, Solution)
+            assert vars(rec) == {**vars(sol), "lam": lam, "n": tree.n,
+                                 "runtime_ms": rec.runtime_ms, "test_id": 4,
+                                 "seed": 9}
+            alias = "f1" if problem == "median" else "f2"
+            assert getattr(rec, alias) == rec.transport
+
+
 def test_lambda_sweep_empty(t6):
     assert lambda_sweep(t6, "median", []) == []
 
@@ -143,11 +167,11 @@ def test_lambda_sweep_validation(t6):
 
 def test_record_consistency_check():
     with pytest.raises(PreconditionError):
-        ExperimentRecord(0, 6, 0, "median", "edge-deletion", 0.5,
-                         5.0, 0.0, 99.0, (3, 4), (2, 4), 0.0)
+        ExperimentRecord("median", "edge-deletion", 2, (3, 4), (2, 4), 5.0, 0.0,
+                         99.0, lam=0.5, n=6, runtime_ms=0.0)
     with pytest.raises(ConfigError):
-        ExperimentRecord(0, 6, 0, "mediam", "edge-deletion", 0.5,
-                         5.0, 0.0, 2.5, (3, 4), (2, 4), 0.0)
+        ExperimentRecord("mediam", "edge-deletion", 2, (3, 4), (2, 4), 5.0, 0.0,
+                         2.5, lam=0.5, n=6, runtime_ms=0.0)
 
 
 def test_pareto_t6(t6):
@@ -209,6 +233,15 @@ def test_emit_csv_shapes(t6):
     parts = lines[1].split(",")
     assert parts[3] == "median" and parts[5] == "0.5"
     assert float(parts[8]) == 2.5
+
+
+def test_emit_csv_to_a_path(t6b, tmp_path):
+    recs = lambda_sweep(t6b, "maxian", [0.0, 1 / 3, 1.0])
+    buf = io.StringIO()
+    emit_csv(recs, buf)
+    emit_csv(recs, tmp_path / "out.csv")
+    with open(tmp_path / "out.csv", encoding="utf-8", newline="") as fh:
+        assert fh.read() == buf.getvalue()
 
 
 def test_emit_csv_table_shape():

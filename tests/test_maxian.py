@@ -82,6 +82,14 @@ def test_sweep_needs_an_edge():
         path_fpmax_sweep(SolverConfig(0.5), cp)
 
 
+def test_brute_path_needs_an_edge():
+    tree = build_tree(1, [])
+    cp = compress_onto_path(tree, path_between(tree, 1, 1))
+    with pytest.raises(PreconditionError) as err:
+        brute_path_fpmax(SolverConfig(0.5), cp)
+    assert str(err.value) == "path has no edges to delete"
+
+
 def test_sweep_matches_direct_evaluation():
     rng = random.Random(883)
     for _ in range(30):

@@ -94,6 +94,12 @@ def test_needs_two_vertices():
         solve_balanced_2median(SolverConfig(0.5), tree)
 
 
+def test_blocked_oracle_needs_two_vertices():
+    with pytest.raises(PreconditionError) as err:
+        blocked_median_table(build_tree(1, []))
+    assert str(err.value) == "balanced 2-median needs at least 2 vertices"
+
+
 def test_matches_brute_force():
     rng = random.Random(7101)
     for _ in range(40):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import treeloc
-from treeloc import (ConfigError, PreconditionError, SolverConfig,
-                     brute_2maxian, brute_2median, eval_f3, eval_f5,
+from treeloc import (Assignment, ConfigError, PreconditionError, SolverConfig,
+                     brute_2maxian, brute_2median, build_tree, eval_f3, eval_f5,
                      eval_fpmax, eval_fpmed, eval_transport, maxian_assignment,
                      median_assignment, solve_balanced_2maxian_cubic,
                      solve_balanced_2maxian_linear, solve_balanced_2median,
@@ -51,6 +51,12 @@ def test_maxian_assignment_is_crossed(t6):
     assert a.mode == "maxian"
     with pytest.raises(PreconditionError):
         maxian_assignment(t6, 2, 5, 1)
+
+
+def test_assignment_rejects_an_unknown_mode(t6):
+    with pytest.raises(PreconditionError) as err:
+        Assignment(split_by_edge(t6, 2), 2, 4, "both")
+    assert str(err.value) == "unknown assignment mode 'both'"
 
 
 def test_transport_t6_example(t6):
@@ -105,6 +111,16 @@ def test_balance_identity_random():
 def test_transport_facility_range_check(t6):
     with pytest.raises(PreconditionError):
         median_assignment(t6, 2, 2, 9)
+
+
+def test_transport_rejects_an_assignment_of_another_tree(t6):
+    # the first pair names a facility past the small tree's ids, the second
+    # fits both trees
+    small = build_tree(3, [(1, 2), (2, 3)])
+    for assignment in (median_assignment(t6, 2, 2, 5), median_assignment(t6, 1, 2, 3)):
+        with pytest.raises(PreconditionError) as err:
+            eval_transport(small, assignment)
+        assert str(err.value) == "assignment belongs to a tree of another size"
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])

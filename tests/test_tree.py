@@ -5,9 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from treeloc import (GenSpec, PreconditionError, TreeParseError, WeightedTree,
-                     all_pairs_dist, build_tree, compress_onto_path, diameter,
-                     dist, gen_random_tree, one_median, parse_tree,
+from treeloc import (GenSpec, PathDescriptor, PreconditionError, TreeParseError,
+                     WeightedTree, all_pairs_dist, build_tree, compress_onto_path,
+                     diameter, dist, gen_random_tree, one_median, parse_tree,
                      path_between, render_tree, split_by_edge)
 import treeloc.tree as tree_module
 from treeloc.tree import dist_sums, distances
@@ -418,6 +418,18 @@ def test_constructor_validates_shapes():
                      np.array([]), np.array([]))
 
 
+@pytest.mark.parametrize("length,w,t,want", [
+    ([1.0], [1.0] * 3, [1.0] * 3, "length array must have one entry per edge"),
+    ([1.0] * 3, [1.0] * 3, [1.0] * 3, "length array must have one entry per edge"),
+    ([1.0] * 2, [1.0] * 2, [1.0] * 3, "w and t arrays must have one entry per vertex"),
+    ([1.0] * 2, [1.0] * 3, [1.0] * 4, "w and t arrays must have one entry per vertex"),
+])
+def test_constructor_names_the_wrong_sized_array(length, w, t, want):
+    with pytest.raises(PreconditionError) as err:
+        WeightedTree(3, [0, 1], [1, 2], length, w, t)
+    assert str(err.value) == want
+
+
 def test_arrays_are_read_only(t6):
     with pytest.raises(ValueError):
         t6.w[0] = 9.0
@@ -509,6 +521,20 @@ def test_compress_pivot_on_unit_path():
     tree = build_tree(4, [(1, 2), (2, 3), (3, 4)])
     cp = compress_onto_path(tree, path_between(tree, 1, 4))
     assert cp.hang_offset == 0.0
+
+
+@pytest.mark.parametrize("verts,want", [
+    ([0, 1, 2], "path vertex out of range"),
+    ([5, 6, 7], "path vertex out of range"),
+    ([1, 2, 1], "path does not belong to the tree"),
+    ([1, 3], "path does not belong to the tree"),
+])
+def test_compress_checks_the_path(t6, verts, want):
+    m = len(verts)
+    p = PathDescriptor(np.array(verts), np.zeros(m - 1, dtype=np.int64), np.zeros(m))
+    with pytest.raises(PreconditionError) as err:
+        compress_onto_path(t6, p)
+    assert str(err.value) == want
 
 
 def test_compress_mass_is_conserved():
