@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import stat
 import sys
 import time
 import warnings
@@ -22,7 +24,8 @@ from .experiments import (ExperimentRecord, GenSpec, _gen_columns,
                           emit_csv, lambda_sweep, pareto_front, record_fields)
 from .objectives import SolverConfig
 from .oracle import DEFAULT_CAP, brute_2maxian, brute_2median
-from .tree import _fmt, _render_columns, parse_tree
+from .tree import (WeightedTree, _columns, _fmt, _read_lines, _render_columns,
+                   parse_tree)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,8 +93,18 @@ def _check_format(fmt: str):
         raise ConfigError(f"unknown format {fmt!r}; expected json, csv, or text")
 
 
-def _load_tree(path: str):
+def _load_tree(path: str) -> WeightedTree:
+    """The tree of a file, whose lines reach _columns a chunk at a time, so
+    that neither the whole text nor a list of its lines is ever alive.  On
+    any fault the file is read again whole, and parse_tree names the fault
+    as it does for the text: its line, or a decode error's byte position
+    in the file.  A pipe or another file that is not regular is read whole."""
     with open(path, encoding="utf-8") as fh:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            try:
+                return WeightedTree(*_columns(_read_lines(fh)))
+            except (ValueError, OverflowError):
+                fh.seek(0)
         return parse_tree(fh.read())
 
 
@@ -216,13 +229,15 @@ def _cmd_pareto(args) -> int:
 def _cmd_gen(args) -> int:
     spec = GenSpec(args.n, args.seed, args.length_min, args.length_max,
                    args.weights, args.services)
-    # the drawn columns form a tree by construction, so no tree is built
-    text = _render_columns(*_gen_columns(spec))
+    # the drawn columns form a tree by construction, so no tree is built;
+    # each block is written as soon as it is formatted
+    blocks = _render_columns(*_gen_columns(spec))
     if args.output:
-        _write_text(args.output, text)
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(blocks)
         print(f"generated n={spec.n} seed={args.seed} -> {args.output}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     return 0
 
 

@@ -13,7 +13,7 @@ from .errors import ConfigError, PreconditionError
 from .maxian import cubic_cut_table, linear_cut_table
 from .median import median_cut_table
 from .objectives import TOLERANCE, Solution, SolverConfig, objective
-from .tree import WeightedTree, _fmt, distances, split_by_edge
+from .tree import WeightedTree, _fmt, _side_a, distances
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -209,15 +209,17 @@ def pareto_front(tree: WeightedTree, problem: str,
 def allocation_report(solution: Solution, tree: WeightedTree) -> int:
     """Number of vertices not served by their nearest facility (median) or
     not served by their farthest facility (maxian), strictly."""
-    bip = split_by_edge(tree, solution.deleted_edge)
+    e = solution.deleted_edge
+    if not (0 <= e < tree.n - 1):
+        raise PreconditionError(f"edge index {e} out of range")
     x1, x2 = solution.facilities
     median = solution.problem == "median"
     # the median's x1 serves side a, the maxian's x1 side b
     serve_a, serve_b = (x1, x2) if median else (x2, x1)
     da, db = distances(tree, [serve_a - 1, serve_b - 1])
-    serving = np.where(bip._in_a, da, db)
-    other = np.where(bip._in_a, db, da)
-    return int(np.count_nonzero(other < serving if median else other > serving))
+    # other < serving (median) or other > serving (maxian), on side a and on side b
+    off_a, off_b = (db < da, da < db) if median else (db > da, da > db)
+    return int(np.count_nonzero(np.where(_side_a(tree, e), off_a, off_b)))
 
 
 COLUMNS = ("test", "n", "seed", "problem", "method", "lambda", "transport", "f5",

@@ -21,7 +21,8 @@ array or a distance sum is then O(n) numpy work at any depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +32,12 @@ from .errors import PreconditionError, TreeParseError
 _BLOCK = 1 << 14
 # lines per block of the text reader and writer
 _IO_ROWS = 4096
+# characters per read of a tree file by _read_lines.  A chunk's lines are
+# all alive while its rows are drawn; at 70,000 vertices 4 Ki to 64 Ki
+# characters gave the CLI the same peak RSS within 0.5 MB and 256 Ki to
+# 1 Mi up to 0.8 MB more, and at 1e6 the parse took the same time from
+# 4 Ki to 64 Ki (scripts/peak_rss.py; CHANGES.md)
+_IO_CHARS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,55 +542,91 @@ def parse_tree(text: str) -> WeightedTree:
     Blank lines and lines starting with '#' are skipped; error messages
     use original line numbers.
 
-    The lines are converted a block of _IO_ROWS at a time into columns and
-    checked as arrays, mostly by WeightedTree.  Only when that rejects the
-    text does _raise_line_fault read it line by line to name the first
-    faulty line; a text with no faulty line re-raises the construction's
-    error.
+    _columns converts the lines a block of _IO_ROWS at a time into
+    columns, and the columns are checked as arrays, mostly by
+    WeightedTree; the CLI feeds the same _columns a file's lines from
+    _read_lines.  Only when that rejects the text does _raise_line_fault
+    read it line by line to name the first faulty line; a text with no
+    faulty line re-raises the construction's error.
     """
     try:
-        return WeightedTree(*_columns(text))
+        return WeightedTree(*_columns(text.splitlines()))
     except (TreeParseError, ValueError, OverflowError) as exc:
         fault = exc
     _raise_line_fault(text)
     raise fault
 
 
-def _columns(text: str) -> tuple:
-    """(n, eu, ev, length, w, t) of the text, 0-based endpoints.  Raises
-    ValueError or OverflowError on a bad count, token or id.  The lines are
-    freed on return, before the tree is built."""
-    rows = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
-    n = int(rows[0]) if rows else 0
-    if n < 1 or len(rows) not in (n, 2 * n):
+def _read_lines(fh) -> Iterator[str]:
+    """The lines of an open text file as str.splitlines splits its whole
+    text, read _IO_CHARS characters at a time.  Only a \\r\\n that the end
+    of a chunk splits comes out differently: as one more, blank, line."""
+    tail = ""
+    while chunk := fh.read(_IO_CHARS):
+        text = tail + chunk
+        lines = text.splitlines()
+        # the last line goes on in the next chunk unless a line end closes it
+        tail = "" if text[-1].splitlines() == [""] else lines.pop()
+        yield from lines
+    if tail:
+        yield tail
+
+
+def _columns(lines: Iterable[str]) -> tuple:
+    """(n, eu, ev, length, w, t) of the lines, 0-based endpoints.  Raises
+    ValueError or OverflowError on a bad count, token or id.  Blank and
+    '#' lines are dropped as the rows are drawn, so of the lines only the
+    block being converted is alive."""
+    rows = (s for s in map(str.strip, lines) if s and s[0] != "#")
+    n = int(next(rows, "0"))
+    if n < 1:
         raise ValueError("line counts")
-    eu, ev, length = _block_columns(rows[1:n], (int, int, float))
-    if len(rows) == n:
-        return n, eu - 1, ev - 1, length, np.ones(n), np.ones(n)
-    vid, wv, tv = _block_columns(rows[n:], (int, float, float))
+    eu, ev, length = _block_columns(rows, n - 1, (int, int, float))
+    eu -= 1
+    ev -= 1
+    first = next(rows, None)
+    if first is None:
+        return n, eu, ev, length, np.ones(n), np.ones(n)
+    vid, wv, tv = _block_columns(chain((first,), rows), n, (int, float, float))
+    if next(rows, None) is not None:
+        raise ValueError("line counts")
     # the ids must be a permutation of 1..n before they place any value
-    if vid.min() < 1 or vid.max() > n or np.bincount(vid - 1, minlength=n).max() > 1:
+    if vid.min() < 1 or vid.max() > n:
+        raise ValueError("vertex ids")
+    vid -= 1
+    if np.bincount(vid, minlength=n).max() > 1:
         raise ValueError("vertex ids")
     w, t = np.empty(n), np.empty(n)
-    w[vid - 1], t[vid - 1] = wv, tv
-    return n, eu - 1, ev - 1, length, w, t
+    w[vid], t[vid] = wv, tv
+    return n, eu, ev, length, w, t
 
 
-def _block_columns(rows: list[str], kinds: tuple) -> list[np.ndarray]:
-    """Three columns of the rows, each converted by int or float.  A block's
-    tokens are made only once each line is known to hold three, and only
-    one block of them is alive at a time: one list per line, all alive,
-    would take several times the memory of the text and make the cyclic
-    garbage collector rescan every line."""
-    cols = [np.empty(len(rows), dtype=np.int64 if k is int else np.float64)
+def _block_columns(rows: Iterator[str], size: int, kinds: tuple) -> list[np.ndarray]:
+    """Three columns of the next size rows, each converted by int or float;
+    ValueError when fewer rows are left.  The rows are drawn a block of
+    _IO_ROWS at a time, and a block's tokens are made only once each line
+    is known to hold three: one list per line, all alive, would take
+    several times the memory of the text and make the cyclic garbage
+    collector rescan every line.  The columns double in place as the rows
+    come, up to size, so a count line that overstates the rows allocates
+    at most twice the rows there are."""
+    cols = [np.empty(min(size, _IO_ROWS), dtype=np.int64 if k is int else np.float64)
             for k in kinds]
-    for s in range(0, len(rows), _IO_ROWS):
-        block = rows[s:s + _IO_ROWS]
+    s = 0
+    while s < size:
+        want = min(size - s, _IO_ROWS)
+        block = list(islice(rows, want))
+        if len(block) < want:
+            raise ValueError("line counts")
         if set(map(len, map(str.split, block))) != {3}:
             raise ValueError("token count")
+        if s + want > len(cols[0]):
+            for col in cols:
+                col.resize(min(size, 2 * (s + want)), refcheck=False)
         tokens = " ".join(block).split()
         for j, (col, kind) in enumerate(zip(cols, kinds)):
-            col[s:s + len(block)] = np.fromiter(map(kind, tokens[j::3]), col.dtype, len(block))
+            col[s:s + want] = np.fromiter(map(kind, tokens[j::3]), col.dtype, want)
+        s += want
     return cols
 
 
@@ -682,20 +725,20 @@ def _fmt(x: float) -> str:
 
 def render_tree(tree: WeightedTree) -> str:
     """The tree in the format parse_tree reads, with every vertex line."""
-    return _render_columns(tree.n, tree.eu, tree.ev, tree.length, tree.w, tree.t)
+    return "".join(_render_columns(tree.n, tree.eu, tree.ev, tree.length, tree.w, tree.t))
 
 
 def _render_columns(n: int, eu: np.ndarray, ev: np.ndarray, length: np.ndarray,
-                    w: np.ndarray, t: np.ndarray) -> str:
-    """The text of the columns _columns reads back, 0-based endpoints,
-    formatted a block of _IO_ROWS rows at a time."""
+                    w: np.ndarray, t: np.ndarray) -> Iterator[str]:
+    """The text of the columns _columns reads back, 0-based endpoints, one
+    block at a time: the count line, then blocks of _IO_ROWS lines, each
+    line ending in \\n.  A block is formatted only when it is drawn."""
+    yield f"{n}\n"
     ids = np.arange(1, n + 1)
-    out = [f"{n}\n"]
     for cols, size in (((eu + 1, ev + 1, length), n - 1), ((ids, w, t), n)):
         for s in range(0, size, _IO_ROWS):
             rows = zip(*(_fmt_column(col[s:s + _IO_ROWS]) for col in cols))
-            out.append("\n".join(map(" ".join, rows)) + "\n")
-    return "".join(out)
+            yield "\n".join(map(" ".join, rows)) + "\n"
 
 
 def build_tree(n: int, edges: Sequence[tuple[int, int]],

@@ -274,12 +274,13 @@ def test_overflowing_data_is_a_precondition_error(argv, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def _run_child(argv):
-    """The CLI in a child process, whose stderr also shows what Python's
-    warning machinery prints; pytest captures warnings in-process."""
+def _run_child(argv, stdin=None):
+    """The CLI in a child process, fed stdin through a pipe, whose stderr
+    also shows what Python's warning machinery prints; pytest captures
+    warnings in-process."""
     env = dict(os.environ, PYTHONPATH=str(Path(treeloc.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "treeloc.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          input=stdin, capture_output=True, text=True, timeout=120)
 
 
 def test_overflow_prints_only_the_error_line(tmp_path):

@@ -220,6 +220,28 @@ def test_allocation_report_maxian(t6b):
     assert allocation_report(alt, t6b) == 1
 
 
+@pytest.mark.parametrize("edge", [-1, 5])
+def test_allocation_report_edge_out_of_range(t6b, edge):
+    sol = Solution("maxian", "cubic", edge, (3, 4), (1, 6), 24.0, 0.0, 12.0)
+    with pytest.raises(PreconditionError, match=f"^edge index {edge} out of range$"):
+        allocation_report(sol, t6b)
+
+
+def test_allocation_report_counts_both_sides():
+    """The path 1-2-3-4, cut at (2, 3): side a is {1, 2}.  Median (2, 1)
+    serves side a from 2 and side b from 1, so vertex 1 on side a and
+    vertices 3 and 4 on side b are nearer the other facility.  Maxian (4, 1)
+    serves side a from 1 and side b from 4, each vertex's nearer facility,
+    so all four are nearer than the other; maxian (1, 4) serves each from
+    the farther one."""
+    path = build_tree(4, [(1, 2), (2, 3), (3, 4)], [1.0, 5.0, 1.0])
+    counts = [allocation_report(Solution(problem, "brute", 1, (2, 3), facs,
+                                         0.0, 0.0, 0.0), path)
+              for problem, facs in [("median", (1, 4)), ("median", (2, 1)),
+                                    ("maxian", (4, 1)), ("maxian", (1, 4))]]
+    assert counts == [0, 3, 4, 0]
+
+
 def test_emit_csv_shapes(t6):
     buf = io.StringIO()
     emit_csv([], buf)
