@@ -1,8 +1,11 @@
 """Brute-force ground-truth solvers.
 
 Everything here favors literal enumeration over cleverness: plain adjacency
-lists, an explicit all-pairs distance table, and exhaustive facility loops.
-Instance sizes are capped so accidental use on large trees fails fast.
+lists, one walk for the all-pairs distance table and for each cut's sides,
+and exhaustive facility loops.  brute_2median and brute_2maxian read one
+enumeration of cuts, _cuts, and add only their own selection rule; they
+share no code with the solvers they check.  Instance sizes are capped so
+accidental use on large trees fails fast.
 The one exception is blocked_median_table, the uncapped O(n^2) per-edge
 median table that the O(n log n) median_cut_table is tested against.
 """
@@ -28,74 +31,69 @@ def _adjacency(tree: WeightedTree) -> list[list[tuple[int, float, int]]]:
     return adj
 
 
+def _walk(adj, start: int, banned: int = -1):
+    """Each step (vertex, the vertex it was reached from, the edge's length)
+    of a walk from start that never crosses edge banned."""
+    stack = [(start, -1)]
+    while stack:
+        x, par = stack.pop()
+        for nb, ln, e in adj[x]:
+            if nb != par and e != banned:
+                yield nb, x, ln
+                stack.append((nb, x))
+
+
 def all_pairs_dist(tree: WeightedTree) -> np.ndarray:
-    """Dense n x n distance table via one traversal per source vertex."""
+    """Dense n x n distance table via one walk per source vertex."""
     adj = _adjacency(tree)
     D = np.zeros((tree.n, tree.n))
     for s in range(tree.n):
         row = D[s]
-        stack = [(s, -1)]
-        while stack:
-            x, par = stack.pop()
-            for nb, ln, _ in adj[x]:
-                if nb != par:
-                    row[nb] = row[x] + ln
-                    stack.append((nb, x))
+        for x, par, ln in _walk(adj, s):
+            row[x] = row[par] + ln
     return D
 
 
-def _component(adj, start: int, banned_edge: int) -> list[int]:
-    """Vertices reachable from start without crossing banned_edge, sorted."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for nb, _, e in adj[x]:
-            if e != banned_edge and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return sorted(seen)
-
-
-def _check_cap(tree: WeightedTree, cap: int):
+def _cuts(tree: WeightedTree, cap: int):
+    """Every edge deletion, in edge order, as (e, side_a, side_b, f5,
+    cost_a, cost_b): side_a is the side holding eu[e] and side_b the other,
+    both as sorted vertex lists, and cost_s[x] is side s's weighted distance
+    sum to vertex x, for every vertex x.  The cap is checked before any
+    other work."""
     if tree.n > cap:
         raise PreconditionError(
             f"instance with {tree.n} vertices exceeds the oracle cap {cap}")
     if tree.n < 2:
         raise PreconditionError("need at least 2 vertices")
-
-
-def brute_2median(cfg: SolverConfig, tree: WeightedTree,
-                  cap: int = DEFAULT_CAP) -> Solution:
-    """Exact optimum of the balanced 2-median objective by enumerating every
-    edge and every facility vertex inside each side."""
-    _check_cap(tree, cap)
-    lam = cfg.lam
     adj = _adjacency(tree)
     D = all_pairs_dist(tree)
     w = tree.w
     z = tree.z
     Z = float(z.sum())
-    best = None
     for e in range(tree.n - 1):
-        side_a = _component(adj, int(tree.eu[e]), e)
+        u = int(tree.eu[e])
+        side_a = sorted([u] + [x for x, _, _ in _walk(adj, u, e)])
         in_a = set(side_a)
         side_b = [v for v in range(tree.n) if v not in in_a]
         za = float(sum(z[v] for v in side_a))
-        f5 = abs(za - (Z - za))
+        # side b first, so numpy's overflow warnings follow brute_2maxian's
+        # pair matrix: its rows, then its columns
+        cost_b, cost_a = ([float(sum(w[v] * D[v, x] for v in side)) for x in range(tree.n)]
+                          for side in (side_b, side_a))
+        yield e, side_a, side_b, abs(za - (Z - za)), cost_a, cost_b
 
-        def side_median(side):
-            bv, bc = None, None
-            for fac in side:
-                c = float(sum(w[v] * D[v, fac] for v in side))
-                if bc is None or c < bc:
-                    bv, bc = fac, c
-            return bv, bc
 
-        m1, c1 = side_median(side_a)
-        m2, c2 = side_median(side_b)
-        f1 = c1 + c2
-        obj = lam * f1 + (1.0 - lam) * f5
+def brute_2median(cfg: SolverConfig, tree: WeightedTree,
+                  cap: int = DEFAULT_CAP) -> Solution:
+    """Exact optimum of the balanced 2-median objective by enumerating every
+    edge and every facility vertex inside each side; the smallest id wins
+    among a side's ties, the smallest edge index among the cuts'."""
+    best = None
+    for e, side_a, side_b, f5, cost_a, cost_b in _cuts(tree, cap):
+        m1 = min(side_a, key=cost_a.__getitem__)
+        m2 = min(side_b, key=cost_b.__getitem__)
+        f1 = cost_a[m1] + cost_b[m2]
+        obj = cfg.lam * f1 + (1.0 - cfg.lam) * f5
         if best is None or obj < best[0]:
             best = (obj, e, m1 + 1, m2 + 1, f1, f5)
     obj, e, m1, m2, f1, f5 = best
@@ -131,29 +129,13 @@ def brute_2maxian(cfg: SolverConfig, tree: WeightedTree,
     larger-endpoint side, x2 the other; x1 != x2).  The flat argmax over the
     pair matrix takes the first maximum, i.e. the lexicographically smallest
     maximizing pair."""
-    _check_cap(tree, cap)
-    lam = cfg.lam
-    n = tree.n
-    adj = _adjacency(tree)
-    D = all_pairs_dist(tree)
-    w = tree.w
-    z = tree.z
-    Z = float(z.sum())
     best = None
-    for e in range(n - 1):
-        side_a = _component(adj, int(tree.eu[e]), e)
-        in_a = set(side_a)
-        side_b = [v for v in range(n) if v not in in_a]
-        za = float(sum(z[v] for v in side_a))
-        f5 = abs(za - (Z - za))
-        A = np.array([float(sum(w[v] * D[v, x] for v in side_b)) for x in range(n)])
-        B = np.array([float(sum(w[v] * D[v, x] for v in side_a)) for x in range(n)])
-        P = A[:, None] + B[None, :]
+    for e, _, _, f5, cost_a, cost_b in _cuts(tree, cap):
+        P = np.array(cost_b)[:, None] + np.array(cost_a)[None, :]
         np.fill_diagonal(P, -np.inf)
-        flat = int(np.argmax(P))
-        x1, x2 = divmod(flat, n)
+        x1, x2 = divmod(int(np.argmax(P)), tree.n)
         f2 = float(P[x1, x2])
-        obj = lam * f2 - (1.0 - lam) * f5
+        obj = cfg.lam * f2 - (1.0 - cfg.lam) * f5
         if best is None or obj > best[0]:
             best = (obj, e, x1 + 1, x2 + 1, f2, f5)
     obj, e, x1, x2, f2, f5 = best

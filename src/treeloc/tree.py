@@ -643,6 +643,15 @@ def _raise_line_fault(text: str) -> None:
     def bad(ln, msg):
         return TreeParseError(f"line {ln}: {msg}")
 
+    def fields(ln, row, names, kinds):
+        parts = row.split()
+        try:
+            if len(parts) == 3:
+                return [kind(part) for kind, part in zip(kinds, parts)]
+        except ValueError:
+            pass
+        raise bad(ln, f"expected {names!r}, got {row!r}")
+
     ln0, head = rows[0]
     try:
         n = int(head)
@@ -655,14 +664,7 @@ def _raise_line_fault(text: str) -> None:
 
     seen_edges = set()
     for ln, row in rows[1:n]:
-        parts = row.split()
-        if len(parts) != 3:
-            raise bad(ln, f"expected 'u v length', got {row!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            ell = float(parts[2])
-        except ValueError:
-            raise bad(ln, f"expected 'u v length', got {row!r}") from None
+        u, v, ell = fields(ln, row, "u v length", (int, int, float))
         if not (1 <= u <= n and 1 <= v <= n):
             raise bad(ln, f"vertex id out of range 1..{n}")
         if u == v:
@@ -679,14 +681,7 @@ def _raise_line_fault(text: str) -> None:
         raise TreeParseError(f"expected {n} vertex lines or none, found {len(tail)}")
     seen = set()
     for ln, row in tail:
-        parts = row.split()
-        if len(parts) != 3:
-            raise bad(ln, f"expected 'id weight service', got {row!r}")
-        try:
-            vid = int(parts[0])
-            wv, tv = float(parts[1]), float(parts[2])
-        except ValueError:
-            raise bad(ln, f"expected 'id weight service', got {row!r}") from None
+        vid, wv, tv = fields(ln, row, "id weight service", (int, float, float))
         if not (1 <= vid <= n):
             raise bad(ln, f"vertex id out of range 1..{n}")
         if vid in seen:

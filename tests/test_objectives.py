@@ -1,5 +1,5 @@
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from treeloc import (Assignment, ConfigError, PreconditionError, SolverConfig,
                      median_assignment, solve_balanced_2maxian_cubic,
                      solve_balanced_2maxian_linear, solve_balanced_2median,
                      split_by_edge)
+from treeloc.maxian import linear_cut_table
 
 from conftest import random_int_tree
 
@@ -141,6 +142,16 @@ def test_solution_aliases_per_problem(t6, t6b, lam):
             assert not hasattr(mx, "medians") and not hasattr(mx, "f1")
         with pytest.raises(AttributeError):
             med.medians = (1, 2)
+
+
+def test_pick_rejects_facilities_on_the_side_they_serve(t6):
+    """A linear table whose facility columns are swapped puts each facility
+    inside the side it serves; the pick's recomputation refuses it."""
+    table = linear_cut_table(t6)
+    swapped = replace(table, facilities=table.facilities[:, ::-1], recomputed={})
+    with pytest.raises(PreconditionError) as err:
+        swapped.pick(0.5, t6)
+    assert str(err.value) == "maxian facilities must lie opposite the side they serve"
 
 
 def test_solution_methods(t6, t6b):

@@ -8,8 +8,11 @@ from treeloc import (PreconditionError, SolverConfig, all_pairs_dist,
                      build_tree, compress_onto_path, diameter, dist, eval_f5,
                      path_between, solve_balanced_2maxian_cubic,
                      solve_balanced_2median, split_by_edge)
+from treeloc import oracle
+from treeloc.objectives import cut_imbalance
+from treeloc.tree import _side_a, dist_sums
 
-from conftest import random_int_path, random_int_tree
+from conftest import SHAPES, random_int_path, random_int_tree, relabelled, shape_tree
 
 
 def test_all_pairs_dist(t6):
@@ -84,6 +87,50 @@ def test_cap_guards():
     single = build_tree(1, [])
     with pytest.raises(PreconditionError):
         brute_2median(SolverConfig(0.5), single)
+
+
+def _small_trees():
+    """Integer trees of 2 to 16 vertices in every shape, every other one
+    with about a third of its weights and lengths zero, each followed by a
+    relabelled copy."""
+    rng = random.Random(58)
+    for n in range(2, 17):
+        for k, kind in enumerate(SHAPES):
+            tree = shape_tree(rng, kind, n, zero=(n + k) % 2 == 1)
+            yield tree
+            yield relabelled(rng, tree)
+
+
+def test_cuts_match_the_fast_routes():
+    """The oracles' one enumeration of cuts agrees, cut by cut, with the
+    solvers' own routes: the side mask of _side_a, f5 of cut_imbalance and
+    the dist_sums rows of each side's weights, read by vertex id."""
+    for tree in _small_trees():
+        f5 = cut_imbalance(tree)
+        cuts = list(oracle._cuts(tree, oracle.DEFAULT_CAP))
+        assert [cut[0] for cut in cuts] == list(range(tree.n - 1))
+        for e, side_a, side_b, f5_e, cost_a, cost_b in cuts:
+            in_a = _side_a(tree, e)
+            assert side_a == np.flatnonzero(in_a).tolist()
+            assert side_b == np.flatnonzero(~in_a).tolist()
+            assert f5_e == f5[e]
+            S, _ = dist_sums(tree, np.where([in_a, ~in_a], tree.w, 0.0)[:, tree.preorder])
+            assert [cost_a, cost_b] == S[:, tree.tin].tolist()
+
+
+def test_cap_is_checked_before_any_work(monkeypatch):
+    def fail(tree):
+        raise AssertionError("the distance table was built before the cap check")
+
+    monkeypatch.setattr(oracle, "all_pairs_dist", fail)
+    tree = random_int_tree(random.Random(59), 17)
+    for brute in (brute_2median, brute_2maxian):
+        with pytest.raises(PreconditionError) as err:
+            brute(SolverConfig(0.5), tree)
+        assert str(err.value) == "instance with 17 vertices exceeds the oracle cap 16"
+        with pytest.raises(PreconditionError) as err:
+            brute(SolverConfig(0.5), build_tree(1, []))
+        assert str(err.value) == "need at least 2 vertices"
 
 
 def test_brute_path_t6b(t6b):
