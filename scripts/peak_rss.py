@@ -1,5 +1,5 @@
 """Peak memory and wall time of the CLI commands that the cli-io benchmark
-workload runs, each in its own child process.
+workload runs, and of `solve-median`, each in its own child process.
 
     python scripts/peak_rss.py --n 70000 [--repeat R] [--only NAME ...]
 
@@ -7,7 +7,8 @@ Writes the two input trees with `treeloc gen` (fixed data, and uniform
 weights and services) into a temporary directory, then runs the seven
 command kinds of cli-io: the two `gen` runs themselves, `solve-maxian` on
 each file, `report maxian` on the uniform file, and a `sweep maxian` on each
-file with CSV and JSON output.  Each child's peak resident set size is its
+file with CSV and JSON output.  Last comes `solve-median` on the uniform
+file, which cli-io does not run.  Each child's peak resident set size is its
 ru_maxrss, read with os.wait4.  The program is imported from this
 checkout's src/, with BLAS threads pinned to 1 as in the benchmark.
 
@@ -45,6 +46,7 @@ def commands(n: int, work: Path) -> dict:
         "sweep-maxian-uniform-json": ["sweep", "maxian", "--lambdas", "0.1,0.9",
                                       "--input", uniform, "--output", str(work / "sweep.json"),
                                       "--format", "json"],
+        "solve-median-uniform": ["solve-median", "--lambda", "0.5", "--input", uniform],
     }
 
 

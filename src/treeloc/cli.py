@@ -19,8 +19,8 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, PreconditionError, TreeParseError
-from .experiments import (ExperimentRecord, GenSpec, _gen_columns,
-                          allocation_report, check_method, check_problem,
+from .experiments import (ExperimentRecord, GenSpec, _allocation_report,
+                          _gen_columns, _sweep, check_method, check_problem,
                           emit_csv, lambda_sweep, pareto_front, record_fields)
 from .objectives import SolverConfig
 from .oracle import DEFAULT_CAP, brute_2maxian, brute_2median
@@ -163,18 +163,18 @@ def _parse_lambdas(text: str) -> list[float]:
 
 
 def _solve_once(args, problem: str):
-    """(tree, record) of one lambda, the record from lambda_sweep;
+    """(tree, table, [record]) of one lambda, as lambda_sweep picks it;
     everything is checked before the input is read."""
     _check_format(args.format)
     method = getattr(args, "method", "linear")
     check_method(method)
     lam = SolverConfig(args.lam).lam
     tree = _load_tree(args.input)
-    return tree, lambda_sweep(tree, problem, [lam], method)[0]
+    return (tree, *_sweep(tree, problem, [lam], method))
 
 
 def _cmd_solve(args, problem: str) -> int:
-    _, rec = _solve_once(args, problem)
+    *_, (rec,) = _solve_once(args, problem)
     return _emit_record(args, rec)
 
 
@@ -243,8 +243,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_report(args) -> int:
     check_problem(args.problem)
-    tree, rec = _solve_once(args, args.problem)
-    dev = allocation_report(rec, tree)
+    tree, table, (rec,) = _solve_once(args, args.problem)
+    # a linear table holds both facilities' distance rows
+    dev = _allocation_report(rec, tree, table.reach)
     return _emit(args, _summary(rec) + f"\ndeviations {dev}",
                  {**record_fields(rec), "deviations": dev},
                  "problem,method,lambda,deviations\n"

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConfigError, PreconditionError
 from .maxian import cubic_cut_table, linear_cut_table
 from .median import median_cut_table
-from .objectives import TOLERANCE, Solution, SolverConfig, objective
+from .objectives import TOLERANCE, CutTable, Solution, SolverConfig, objective
 from .tree import WeightedTree, _fmt, _side_a, distances
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -163,41 +163,51 @@ SOLVERS = {
 def lambda_sweep(tree: WeightedTree, problem: str, lambdas: Iterable[float],
                  method: str = "linear", test_id: int = 0,
                  seed: int = 0) -> list[ExperimentRecord]:
-    """One record per lambda value, all picked from one cut table built by
-    the fast solver for the problem (the linear method for maxian unless
-    method="cubic" is asked for).
+    """One record per lambda value, all picked by one CutTable.picks call
+    from one cut table built by the fast solver for the problem (the linear
+    method for maxian unless method="cubic" is asked for).
 
     The problem, the method and every lambda are checked before any work.
-    Each record's runtime_ms is the time to pick its lambda's cut; the
-    first record's also includes building the table."""
+    Each record's runtime_ms is its equal share of the time the picks
+    took; the first record's also includes building the table, so the
+    records sum to the sweep's time."""
+    return _sweep(tree, problem, lambdas, method, test_id, seed)[1]
+
+
+def _sweep(tree: WeightedTree, problem: str, lambdas: Iterable[float], method: str,
+           test_id: int = 0, seed: int = 0) -> tuple[CutTable | None, list[ExperimentRecord]]:
+    """lambda_sweep's records with the table they were picked from, None
+    when there are no lambdas."""
     check_problem(problem)
     check_method(method)
-    cfgs = [SolverConfig(float(lam)) for lam in lambdas]
-    if not cfgs:
-        return []
-    build = SOLVERS[problem, method]
-    out = []
+    lams = [SolverConfig(float(lam)).lam for lam in lambdas]
+    if not lams:
+        return None, []
     t0 = time.perf_counter()
-    table = build(tree)
-    for cfg in cfgs:
-        sol = table.pick(cfg.lam, tree)
-        ms = (time.perf_counter() - t0) * 1e3
-        out.append(ExperimentRecord(**vars(sol), lam=cfg.lam, n=tree.n, runtime_ms=ms,
-                                    test_id=test_id, seed=seed))
-        t0 = time.perf_counter()
-    return out
+    table = SOLVERS[problem, method](tree)
+    t1 = time.perf_counter()
+    sols = table.picks(lams, tree)
+    ms = [(time.perf_counter() - t1) * 1e3 / len(lams)] * len(lams)
+    ms[0] += (t1 - t0) * 1e3
+    return table, [ExperimentRecord(**vars(sol), lam=lam, n=tree.n, runtime_ms=t,
+                                    test_id=test_id, seed=seed)
+                   for lam, sol, t in zip(lams, sols, ms)]
 
 
 def pareto_front(tree: WeightedTree, problem: str,
                  grid_size: int) -> list[tuple[float, float]]:
-    """Nondominated (transport, f5) pairs found by sweeping lambda over a
-    uniform grid; sorted by transport.  Median minimizes both coordinates;
-    maxian maximizes transport and minimizes f5.  The maxian front comes
-    from the linear diameter-endpoint heuristic, so it is heuristic too."""
+    """Nondominated (transport, f5) pairs of the picks at a uniform grid of
+    lambda values, read from one CutTable.picks call; sorted by transport.
+    Median minimizes both coordinates; maxian maximizes transport and
+    minimizes f5.  The maxian front comes from the linear diameter-endpoint
+    heuristic, so it is heuristic too.  The grid size is checked first,
+    then the problem."""
     if grid_size < 2:
         raise ConfigError("grid_size must be at least 2")
+    check_problem(problem)
     lambdas = [k / (grid_size - 1) for k in range(grid_size)]
-    points = {(r.transport, r.f5) for r in lambda_sweep(tree, problem, lambdas)}
+    table = SOLVERS[problem, "linear"](tree)
+    points = {(s.transport, s.f5) for s in table.picks(lambdas, tree)}
 
     def dominates(a, b):
         better = a[0] <= b[0] if problem == "median" else a[0] >= b[0]
@@ -209,6 +219,13 @@ def pareto_front(tree: WeightedTree, problem: str,
 def allocation_report(solution: Solution, tree: WeightedTree) -> int:
     """Number of vertices not served by their nearest facility (median) or
     not served by their farthest facility (maxian), strictly."""
+    return _allocation_report(solution, tree, {})
+
+
+def _allocation_report(solution: Solution, tree: WeightedTree, reach: dict) -> int:
+    """allocation_report, reading the two facilities' distance rows from
+    reach (a CutTable's, by 1-based id) when it holds both, else sweeping
+    them."""
     e = solution.deleted_edge
     if not (0 <= e < tree.n - 1):
         raise PreconditionError(f"edge index {e} out of range")
@@ -216,7 +233,8 @@ def allocation_report(solution: Solution, tree: WeightedTree) -> int:
     median = solution.problem == "median"
     # the median's x1 serves side a, the maxian's x1 side b
     serve_a, serve_b = (x1, x2) if median else (x2, x1)
-    da, db = distances(tree, [serve_a - 1, serve_b - 1])
+    da, db = ((reach[serve_a], reach[serve_b]) if serve_a in reach and serve_b in reach
+              else distances(tree, [serve_a - 1, serve_b - 1]))
     # other < serving (median) or other > serving (maxian), on side a and on side b
     off_a, off_b = (db < da, da < db) if median else (db > da, da > db)
     return int(np.count_nonzero(np.where(_side_a(tree, e), off_a, off_b)))

@@ -116,8 +116,10 @@ def linear_cut_table(tree: WeightedTree) -> CutTable:
     # the deleted path edge serves the suffix side and vice versa
     prefix_holds_smaller = tree.eu[path.edges] + 1 == path.vertices[:-1]
     pairs = np.where(prefix_holds_smaller[:, None], ends, ends[::-1])
-    return CutTable("maxian", "linear", path.edges, transport, f5, pairs,
-                    reach={a + 1: da, b + 1: db})
+    # rows in edge order, as CutTable's tie rule takes the first extremal row
+    order = path.edges.argsort()
+    return CutTable("maxian", "linear", path.edges[order], transport[order], f5[order],
+                    pairs[order], reach={a + 1: da, b + 1: db})
 
 
 def solve_balanced_2maxian_cubic(cfg: SolverConfig, tree: WeightedTree) -> Solution:

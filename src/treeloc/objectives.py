@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .tree import (EdgeBipartition, WeightedTree, _side_a, distances,
+from .tree import (_BLOCK, EdgeBipartition, WeightedTree, _side_a, distances,
                    split_by_edge, subtree_sums)
 
 # relative slack for comparing two routes to one float that may round apart
@@ -91,11 +91,12 @@ class Solution:
 class CutTable:
     """The lambda-independent terms of every cut a solver considers.
 
-    Row k deletes tree edge edges[k]; transport[k] is its f1 (median) or f2
-    (maxian), f5[k] its imbalance and facilities[k] the 1-based pair a
-    solution reports for it.  problem is "median" or "maxian"; method names
-    the algorithm that filled the table.  Only the weighting of the two
-    terms depends on lambda, so one table answers every lambda.  A linear
+    Row k deletes tree edge edges[k], in increasing edge order; transport[k]
+    is its f1 (median) or f2 (maxian), f5[k] its imbalance and
+    facilities[k] the 1-based pair a solution reports for it.  problem is
+    "median" or "maxian"; method names the algorithm that filled the table.
+    Only the weighting of the two terms depends on lambda, so one table
+    answers every lambda, and picks answers a whole list of them.  A linear
     table keeps in reach the distances from each of its two facilities to
     every vertex, by the facility's 1-based id and then by vertex id, for
     its picks to recompute from; recomputed keeps the (transport, f5) a pick
@@ -112,38 +113,54 @@ class CutTable:
     recomputed: dict = field(default_factory=dict, repr=False)
 
     def pick(self, lam: float, tree: WeightedTree) -> Solution:
-        """The best cut at lam: the minimum for the median, the maximum for
-        the maxian, the smallest edge index among ties.  A linear table's
-        path terms round differently from the tree's own sums, so its
-        picked cut is recomputed, once per edge, as eval_transport and
-        eval_f5 would through maxian_assignment, from the side mask and
-        the distance rows in reach; the objective comes from them.  When no
-        cut has a finite objective, or a NaN from overflowed sums leaves
-        the pick undefined, it raises PreconditionError."""
-        obj = objective(lam, self.transport, self.f5, self.problem)
-        top = obj.min() if self.problem == "median" else obj.max()
-        if not math.isfinite(top):
-            raise PreconditionError(_OVERFLOW)
-        rows = (obj == top).nonzero()[0]
-        k = rows[self.edges[rows].argmin()]
-        e, (x1, x2) = int(self.edges[k]), self.facilities[k].tolist()
-        transport, f5, value = float(self.transport[k]), float(self.f5[k]), float(obj[k])
-        if self.method == "linear":
-            if e not in self.recomputed:
-                # x2 serves side a, which holds the smaller endpoint, from
-                # side b; x1 serves side b from side a
-                in_a = _side_a(tree, e)
-                if in_a[x2 - 1] or not in_a[x1 - 1]:
-                    raise PreconditionError(_OPPOSITE)
-                z_a = float(tree.z[in_a].sum())
-                self.recomputed[e] = (_transport(tree, in_a, self.reach[x2], self.reach[x1]),
-                                      abs(z_a - (float(tree.z.sum()) - z_a)))
-            transport, f5 = self.recomputed[e]
-            path_value, value = value, objective(lam, transport, f5, self.problem)
-            assert abs(value - path_value) <= TOLERANCE * (1.0 + abs(path_value)), \
-                "path objective disagrees with component recomputation"
-        return Solution(self.problem, self.method, e, tree.edge_tuple(e), (x1, x2),
-                        transport, f5, value)
+        """The best cut at lam: picks([lam], tree)[0]."""
+        return self.picks([lam], tree)[0]
+
+    def picks(self, lams: list[float], tree: WeightedTree) -> list[Solution]:
+        """The best cut at each lam, in order: the minimum for the median,
+        the maximum for the maxian, the smallest edge index among ties, which
+        is the first extremal row.  The objectives of a block of lams and
+        every cut form one matrix of about _BLOCK elements, so memory stays
+        bounded however many lams there are.  A linear table's path terms
+        round differently from the tree's own sums, so its picked cut is
+        recomputed, once per edge, as eval_transport and eval_f5 would
+        through maxian_assignment, from the side mask and the distance rows
+        in reach; the objective comes from them.  When no cut has a finite
+        objective, or a NaN from overflowed sums leaves the pick undefined,
+        it raises PreconditionError."""
+        out, step = [], _BLOCK // self.edges.size or 1
+        for j, lam in enumerate(lams):
+            i = j % step
+            if i == 0:
+                # the objectives of the block of lams from j on, at every cut
+                obj = objective(np.array(lams[j:j + step], dtype=float)[:, None],
+                                self.transport, self.f5, self.problem)
+                ks = (obj.argmin(1) if self.problem == "median" else obj.argmax(1)).tolist()
+            # argmin and argmax return the first NaN, so a NaN anywhere in
+            # the row is the picked value
+            k, value = ks[i], obj.item(i, ks[i])
+            if not math.isfinite(value):
+                raise PreconditionError(_OVERFLOW)
+            e, (x1, x2) = self.edges.item(k), self.facilities[k].tolist()
+            transport, f5 = self.transport.item(k), self.f5.item(k)
+            if self.method == "linear":
+                if e not in self.recomputed:
+                    # x2 serves side a, which holds the smaller endpoint,
+                    # from side b; x1 serves side b from side a
+                    in_a = _side_a(tree, e)
+                    if in_a[x2 - 1] or not in_a[x1 - 1]:
+                        raise PreconditionError(_OPPOSITE)
+                    z_a = float(tree.z[in_a].sum())
+                    self.recomputed[e] = (
+                        _transport(tree, in_a, self.reach[x2], self.reach[x1]),
+                        abs(z_a - (float(tree.z.sum()) - z_a)))
+                transport, f5 = self.recomputed[e]
+                path_value, value = value, objective(lam, transport, f5, self.problem)
+                assert abs(value - path_value) <= TOLERANCE * (1.0 + abs(path_value)), \
+                    "path objective disagrees with component recomputation"
+            out.append(Solution(self.problem, self.method, e, tree.edge_tuple(e), (x1, x2),
+                                transport, f5, value))
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,9 @@ from treeloc import (ConfigError, ExperimentRecord, GenSpec, PreconditionError,
                      pareto_front, parse_tree, render_tree,
                      solve_balanced_2maxian_cubic,
                      solve_balanced_2maxian_linear, solve_balanced_2median)
+from treeloc import experiments
 from treeloc import tree as tree_module
+from treeloc.cli import run
 
 MASK = (1 << 64) - 1
 
@@ -114,6 +116,8 @@ def test_lambda_sweep_t6(t6):
     assert recs[0].f5 == 0.0
     assert all(r.method == "edge-deletion" for r in recs)
     assert all(r.runtime_ms >= 0.0 for r in recs)
+    # equal shares of the one pick pass; the first also carries the build
+    assert recs[1].runtime_ms == recs[2].runtime_ms <= recs[0].runtime_ms
 
 
 def test_lambda_sweep_t6b_maxian(t6b):
@@ -202,6 +206,48 @@ def test_pareto_is_nondominated():
         pareto_front(tree, "median", 1)
     with pytest.raises(ConfigError):
         pareto_front(build_tree(1, []), "medain", 3)
+
+
+def test_validation_order():
+    """pareto_front checks the grid size, then the problem; lambda_sweep
+    the problem, then the method, then every lambda; all before any work
+    on the one-vertex tree, which no solver accepts."""
+    one = build_tree(1, [])
+    for call, message in [
+            (lambda: pareto_front(one, "medain", 1), "grid_size must be at least 2"),
+            (lambda: pareto_front(one, "medain", 3), "unknown problem 'medain'"),
+            (lambda: lambda_sweep(one, "medain", [2.0], "quartic"), "unknown problem 'medain'"),
+            (lambda: lambda_sweep(one, "median", [2.0], "quartic"), "unknown method 'quartic'"),
+            (lambda: lambda_sweep(one, "median", [0.5, 2.0]), "lambda must lie in [0, 1]")]:
+        with pytest.raises(ConfigError) as err:
+            call()
+        assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("problem", ["median", "maxian"])
+def test_one_table_per_sweep_and_front(monkeypatch, problem):
+    """An 11-lambda sweep and an 11-point front each build one cut table
+    and pick every lambda from it; the front builds no record."""
+    builds = []
+    for key, build in list(experiments.SOLVERS.items()):
+        def counted(tree, build=build, key=key):
+            builds.append(key)
+            return build(tree)
+        monkeypatch.setitem(experiments.SOLVERS, key, counted)
+    tree = gen_random_tree(GenSpec(80, 5, weight_mode="uniform"))
+    lams = [k / 10 for k in range(11)]
+    assert len(lambda_sweep(tree, problem, lams)) == 11
+    assert builds == [(problem, "linear")]
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("pareto_front built a record")
+
+    monkeypatch.setattr(experiments, "ExperimentRecord", no_record)
+    builds.clear()
+    pts = pareto_front(tree, problem, 11)
+    assert builds == [(problem, "linear")]
+    assert set(pts) <= {(s.transport, s.f5) for s in
+                        experiments.SOLVERS[problem, "linear"](tree).picks(lams, tree)}
 
 
 def test_allocation_report_median(t6):
@@ -311,3 +357,25 @@ def test_distance_sweeps_per_solve(monkeypatch, n):
     rows.clear()
     solve_balanced_2maxian_cubic(SolverConfig(0.5), tree)
     assert len(rows) == 1 + blocks
+
+
+@pytest.mark.parametrize("n", [2, 12, 700])
+def test_distance_sweeps_per_report(monkeypatch, tmp_path, capsys, n):
+    """`treeloc report` sweeps the same rows as the solve it reports on,
+    then reads the two facilities' rows from a linear table's reach, so it
+    makes no further sweep; after a cubic or median solve, whose tables
+    hold no rows, it sweeps both facilities in one two-row call."""
+    tree = gen_random_tree(GenSpec(n, 31, weight_mode="uniform"))
+    path = tmp_path / "tree.txt"
+    path.write_text(render_tree(tree))
+    rows = count_rows(monkeypatch, tree_module, "dist_sums")
+    blocks = math.ceil((n - 1) / max(1, tree_module._BLOCK // n))
+    for argv, solve, report in [
+            (["maxian"], [1, 1], []),
+            (["maxian", "--method", "cubic"], [1] * (1 + blocks), [2]),
+            (["median"], [], [2])]:
+        rows.clear()
+        assert run(["report", *argv, "--lambda", "0.5", "--input", str(path)]) == 0
+        assert len(rows) == len(solve) + len(report)
+        assert rows[len(solve):] == report
+    capsys.readouterr()

@@ -1,4 +1,5 @@
 import random
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,9 +12,12 @@ from treeloc import (Assignment, ConfigError, PreconditionError, SolverConfig,
                      median_assignment, solve_balanced_2maxian_cubic,
                      solve_balanced_2maxian_linear, solve_balanced_2median,
                      split_by_edge)
-from treeloc.maxian import linear_cut_table
+from treeloc.experiments import GenSpec, gen_random_tree
+from treeloc.maxian import cubic_cut_table, linear_cut_table
+from treeloc.median import median_cut_table
+from treeloc.objectives import objective
 
-from conftest import random_int_tree
+from conftest import SHAPES, random_int_tree, relabelled, shape_tree
 
 
 def test_solver_config_defaults():
@@ -168,3 +172,106 @@ def test_every_exported_name_resolves():
         assert hasattr(treeloc, name), name
     assert "MedianSolution" not in treeloc.__all__
     assert "MaxianSolution" not in treeloc.__all__
+
+
+BUILDERS = (median_cut_table, linear_cut_table, cubic_cut_table)
+LAMS = [k / 20 for k in range(21)]
+
+
+def _fields(sol):
+    """Every field of a Solution, floats by their hex."""
+    return [v.hex() if isinstance(v, float) else v for v in vars(sol).values()]
+
+
+def _first_best_edge(table, lam):
+    """The rule picks follows, read off the table one lam at a time: the
+    smallest edge among the cuts of extremal objective."""
+    obj = objective(lam, table.transport, table.f5, table.problem)
+    top = obj.min() if table.problem == "median" else obj.max()
+    return int(table.edges[obj == top].min())
+
+
+def _assert_picks_are_single_picks(tree, lams):
+    """On every table of the tree, picks(lams) equals pick at each lam
+    field for field, on a fresh table each (so the linear recomputation
+    runs on both sides), and takes the first best edge of the table."""
+    for build in BUILDERS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            table, fresh = build(tree), build(tree)
+        assert np.all(np.diff(table.edges) > 0)
+        batch = table.picks(lams, tree)
+        assert [_fields(sol) for sol in batch] == \
+            [_fields(fresh.pick(lam, tree)) for lam in lams]
+        for lam, sol in zip(lams, batch):
+            assert sol.deleted_edge == _first_best_edge(table, lam)
+            if table.method != "linear":
+                k = int(np.searchsorted(table.edges, sol.deleted_edge))
+                assert (sol.transport, sol.f5) == (table.transport[k], table.f5[k])
+
+
+def _equivalence_trees():
+    """The reference family; the five shapes, with and without zero
+    weights and lengths, each also relabelled; and a zero-length tree,
+    whose linear table falls back to the cubic one."""
+    rng = random.Random(20240817)
+    for _ in range(200):
+        yield random_int_tree(rng, rng.randint(3, 12))
+    rng = random.Random(1907)
+    for kind in SHAPES:
+        for n in (2, 7, 30):
+            for zero in (False, True):
+                tree = shape_tree(rng, kind, n, zero)
+                yield tree
+                yield relabelled(rng, tree)
+    yield build_tree(4, [(1, 2), (2, 3), (3, 4)], [1, 0, 2])
+
+
+def test_picks_equal_single_picks():
+    for tree in _equivalence_trees():
+        _assert_picks_are_single_picks(tree, LAMS)
+
+
+def test_picks_tie_rule():
+    """Exact ties go to the smallest edge index of the table: every cut
+    of an equal-weight star scores the same, and on the path 1-2-3 listed
+    as (2,3), (1,2) both cuts of the linear table tie at every lambda,
+    while the diameter path meets edge 1 before edge 0."""
+    star = build_tree(6, [(1, v) for v in (4, 2, 6, 3, 5)])
+    for build in BUILDERS:
+        table = build(star)
+        assert np.unique(objective(0.5, table.transport, table.f5, table.problem)).size == 1
+        assert [sol.deleted_edge for sol in table.picks(LAMS, star)] == \
+            [int(table.edges.min())] * len(LAMS)
+    path = build_tree(3, [(2, 3), (1, 2)])
+    table = linear_cut_table(path)
+    assert table.edges.tolist() == [0, 1]
+    assert table.transport[0] == table.transport[1] and table.f5[0] == table.f5[1]
+    assert set(table.facilities.ravel().tolist()) == {1, 3}
+    assert [sol.deleted_edge for sol in table.picks(LAMS, path)] == [0] * len(LAMS)
+
+
+def test_picks_across_blocks():
+    """A lambda list longer than one block of _BLOCK elements: at 200
+    vertices a block holds 82 lambdas, so 201 of them take three."""
+    tree = gen_random_tree(GenSpec(200, 8, weight_mode="uniform", service_mode="uniform"))
+    lams = [k / 200 for k in range(201)]
+    assert len(lams) > treeloc.tree._BLOCK // (tree.n - 1)
+    _assert_picks_are_single_picks(tree, lams)
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+def test_picks_overflow_raises_as_pick(build):
+    """Finite weights whose sums overflow leave the median and cubic
+    tables NaN and the linear one inf: picks raises the same
+    PreconditionError as pick, for a list of lambdas and for one."""
+    huge = build_tree(3, [(1, 2), (2, 3)], [10, 10], [1e308, 1, 1e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = build(huge)
+        for lams in ([0.0, 0.5], [0.5]):
+            with pytest.raises(PreconditionError) as one:
+                table.pick(lams[-1], huge)
+            with pytest.raises(PreconditionError) as batch:
+                table.picks(lams, huge)
+        assert str(batch.value) == str(one.value) == \
+            "objective is not finite: the weights, service times or lengths are too large"
