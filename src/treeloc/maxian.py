@@ -112,14 +112,14 @@ def linear_cut_table(tree: WeightedTree) -> CutTable:
     db = distances(tree, b)[0]
     transport, f5 = _path_terms(_fold_onto_path(tree, path, da))
     ends = path.vertices[[0, -1]]
-    # x1 serves the larger-endpoint side; the endpoint on the prefix side of
-    # the deleted path edge serves the suffix side and vice versa
-    prefix_holds_smaller = tree.eu[path.edges] + 1 == path.vertices[:-1]
-    pairs = np.where(prefix_holds_smaller[:, None], ends, ends[::-1])
     # rows in edge order, as CutTable's tie rule takes the first extremal row
     order = path.edges.argsort()
+    # x1 serves the larger-endpoint side; the endpoint on the prefix side of
+    # the deleted path edge serves the suffix side and vice versa
+    prefix_holds_smaller = (tree.eu[path.edges] + 1 == path.vertices[:-1])[order]
+    pairs = np.where(prefix_holds_smaller[:, None], ends, ends[::-1])
     return CutTable("maxian", "linear", path.edges[order], transport[order], f5[order],
-                    pairs[order], reach={a + 1: da, b + 1: db})
+                    pairs, reach={a + 1: da, b + 1: db})
 
 
 def solve_balanced_2maxian_cubic(cfg: SolverConfig, tree: WeightedTree) -> Solution:
