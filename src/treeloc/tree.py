@@ -7,12 +7,14 @@ Conventions used across the package:
 * Edge indices refer to input order and are 0-based; stored endpoints are
   normalized so eu[e] < ev[e].
 
-WeightedTree caches one traversal rooted at vertex 0, built in numpy
-passes of O(n) work whatever the depth: an Euler tour whose arcs a 16-bit
-radix sort groups by tail, ranked through a ruling set (plain pointer
-jumping below 2^14 arcs), which also decides connectivity.  Three
-primitives over preorder positions then replace every walk: subtree sums
-(prefix-sum differences), root-path sums, and dist_sums, sum_v w[v] *
+WeightedTree caches one traversal rooted at vertex 0, read off an Euler
+tour in O(n) work whatever the depth, which also decides connectivity.  Up
+to _WALK_MAX vertices a Python loop follows the tour one arc at a time
+(the numpy passes' fixed cost is larger below about 90 vertices); above
+it numpy passes group the arcs by tail with a 16-bit radix sort and rank
+the tour through a ruling set (plain pointer jumping below 2^14 arcs).
+Three primitives over preorder positions then replace every walk: subtree
+sums (prefix-sum differences), root-path sums, and dist_sums, sum_v w[v] *
 d(v, x) for every x and every row of a block of weight rows.  Construction
 is O(n) work (O(n log n) at worst, see _list_positions); a cut, a distance
 array or a distance sum is then O(n) numpy work at any depth.
@@ -69,6 +71,10 @@ class WeightedTree:
 
     def __post_init__(self):
         n = self.n
+        if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
+            raise PreconditionError(f"tree needs an integer vertex count, got {n!r}")
+        n = int(n)
+        object.__setattr__(self, "n", n)
         if n < 1:
             raise PreconditionError(f"tree needs at least 1 vertex, got {n}")
         eu, ev = _endpoints(self.eu), _endpoints(self.ev)
@@ -156,20 +162,89 @@ def _endpoints(col) -> np.ndarray:
     return arr if arr.dtype == np.int64 else arr.astype(np.int64)
 
 
+# vertex counts up to which the tour is walked in Python: the numpy
+# kernel's fixed cost of about 57 calls outweighs the walk's cost per arc
+# below about 93 vertices on every shape, and at 32 the walk takes half
+# the kernel's time (scripts/traversal_cost.py; BENCH_20.json)
+_WALK_MAX = 32
+
+
 def _rooted_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
                       length: np.ndarray) -> dict | None:
     """The traversal arrays rooted at vertex 0, or None when the edges do not
     connect all vertices.  Arc k < n-1 runs lo[k] -> hi[k], arc k + n-1
-    back; slots group arcs by tail, in edge order, and the tour leaves a
-    vertex by the slot after the reverse of the arc it came in by.  Cut
+    back; slots group arcs by tail, in arc order, so a vertex's ring holds
+    its edges as the smaller endpoint, then as the larger, each group in
+    edge order.  The tour starts at vertex 0's first slot and leaves a
+    vertex by the slot after the reverse of the arc it came in by; its
+    down steps, in order, are preorder positions 1..n-1, and a depth is
+    the running sum of the steps before it, +plen down and -plen up.  Up to
+    _WALK_MAX vertices _walk_traversal follows the tour in Python, above it
+    _numpy_traversal ranks it in numpy passes; both give the same arrays
+    bit for bit, in O(n) work at any depth."""
+    if n <= _WALK_MAX:
+        return _walk_traversal(n, lo, hi, length)
+    return _numpy_traversal(n, lo, hi, length)
+
+
+def _walk_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
+                    length: np.ndarray) -> dict | None:
+    """_rooted_traversal by one Python step per arc of the tour: a step
+    whose head is new goes down, any other goes up.  A tree's tour from
+    vertex 0 reaches every vertex in its 2n - 2 steps; any other edge set
+    of n - 1 edges leaves a component out, maybe vertex 0 alone (a
+    one-vertex tree has no arcs and is its own tour)."""
+    tails, heads = lo.tolist(), hi.tolist()
+    e = len(tails)
+    tails, heads = tails + heads, heads + tails             # arc a: tails[a] -> heads[a]
+    lens = length.tolist() * 2
+    ring = [[] for _ in range(n)]
+    for a, x in enumerate(tails):
+        ring[x].append(a)
+    nxt = [0] * (2 * e)                                     # the arc after arc a
+    for r in ring:
+        if r:
+            prev = r[-1]
+            for a in r:
+                nxt[prev - e if prev >= e else prev + e] = a
+                prev = a
+    tin = [-1] * n
+    tin[0] = 0
+    preorder, pdep, plen, up = [0], [0.0], [0.0], [0]
+    end = [n] * n
+    low = [0] * e
+    depth = -0.0            # the identity of +, so the first step is taken as is
+    if e and not ring[0]:
+        return None
+    a = ring[0][0] if e else 0
+    for _ in range(2 * e):
+        y, d = heads[a], lens[a]
+        if tin[y] < 0:
+            tin[y] = len(preorder)
+            preorder.append(y)
+            depth += d
+            pdep.append(depth)
+            plen.append(d)
+            up.append(tin[tails[a]])
+            low[a - e if a >= e else a] = y
+        else:
+            depth -= d
+            end[tin[tails[a]]] = len(preorder)
+        a = nxt[a]
+    if len(preorder) < n:
+        return None
+    i64 = np.int64
+    return dict(preorder=np.array(preorder, dtype=i64), tin=np.array(tin, dtype=i64),
+                end=np.array(end, dtype=i64), pdep=np.array(pdep), plen=np.array(plen),
+                up=np.array(up, dtype=i64), low=np.array(low, dtype=i64))
+
+
+def _numpy_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
+                     length: np.ndarray) -> dict | None:
+    """_rooted_traversal in numpy passes of O(n) work, for n >= 2.  Cut
     before vertex 0's first slot, a tree's tour is one list through all
     arcs, which _list_positions ranks; any other edge set leaves an arc off
-    it or a vertex without arcs.  The tour's down steps, in order, are
-    preorder positions 1..n-1.  Every pass is O(n) work."""
-    if n == 1:
-        return dict(preorder=np.zeros(1, dtype=np.int64), tin=np.zeros(1, dtype=np.int64),
-                    end=np.ones(1, dtype=np.int64), pdep=np.zeros(1), plen=np.zeros(1),
-                    up=np.zeros(1, dtype=np.int64), low=np.zeros(0, dtype=np.int64))
+    it or a vertex without arcs."""
     i32 = np.int32
     e = n - 1
     m = 2 * e
@@ -740,11 +815,12 @@ def build_tree(n: int, edges: Sequence[tuple[int, int]],
                lengths: Sequence[float] | None = None,
                w: Sequence[float] | None = None,
                t: Sequence[float] | None = None) -> WeightedTree:
-    """Construct a tree from 1-based edge pairs; omitted data defaults to 1."""
+    """Construct a tree from 1-based edge pairs; omitted data defaults to 1,
+    sized by the edges, so that n is checked by WeightedTree alone."""
     edges = list(edges)
     eu = _endpoints([u for u, _ in edges]) - 1
     ev = _endpoints([v for _, v in edges]) - 1
     length = np.ones(len(edges)) if lengths is None else np.asarray(lengths, dtype=np.float64)
-    wv = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
-    tv = np.ones(n) if t is None else np.asarray(t, dtype=np.float64)
+    wv = np.ones(len(edges) + 1) if w is None else np.asarray(w, dtype=np.float64)
+    tv = np.ones(len(edges) + 1) if t is None else np.asarray(t, dtype=np.float64)
     return WeightedTree(n, eu, ev, length, wv, tv)

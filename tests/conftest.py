@@ -157,12 +157,21 @@ def tour_walk(tree: WeightedTree) -> dict:
                 low=np.array(low, dtype=np.int64))
 
 
+TRAVERSAL = ("preorder", "tin", "end", "pdep", "plen", "up", "low")
+
+
+def assert_same_arrays(got: dict, want: dict) -> None:
+    """Both dicts hold the seven traversal arrays, equal bit for bit: by
+    dtype and bytes, so that -0.0 differs from 0.0."""
+    assert sorted(got) == sorted(want) == sorted(TRAVERSAL)
+    for name in TRAVERSAL:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
 def assert_traversal_is_the_walk(tree: WeightedTree) -> None:
     """Every traversal array of the tree equals tour_walk's, bit for bit."""
-    want = tour_walk(tree)
-    for name in ("preorder", "tin", "end", "pdep", "plen", "up", "low"):
-        got = getattr(tree, name)
-        assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), name
+    assert_same_arrays({name: getattr(tree, name) for name in TRAVERSAL}, tour_walk(tree))
 
 
 def walk_positions(succ: np.ndarray) -> np.ndarray | None:

@@ -12,8 +12,8 @@ from treeloc import (GenSpec, PathDescriptor, PreconditionError, TreeParseError,
 import treeloc.tree as tree_module
 from treeloc.tree import dist_sums, distances
 
-from conftest import (SHAPES, assert_traversal_is_the_walk, random_int_tree, relabelled,
-                      shape_tree, tour_walk, walk_positions)
+from conftest import (SHAPES, TRAVERSAL, assert_same_arrays, assert_traversal_is_the_walk,
+                      random_int_tree, relabelled, shape_tree, tour_walk, walk_positions)
 
 nan, inf = float("nan"), float("inf")
 
@@ -289,14 +289,28 @@ def test_parse_names_a_late_line(line, value, want):
     (2, [(True, False)], {}, "boolean edge endpoint"),
     (3, [(1, 2), (1e30, 3)], {}, "edge endpoint out of range"),
     (3, [(1.0, 2.0), (3.0, 2.0)], {}, None),
+    # the vertex count must be an integer and not a bool, checked first
+    (5.0, [(1, 2), (2, 3), (3, 4), (4, 5)], {}, "tree needs an integer vertex count, got 5.0"),
+    (2.5, [(1, 2), (2, 2)], dict(lengths=[nan, -1.0]), "tree needs an integer vertex count, got 2.5"),
+    (0.0, [], {}, "tree needs an integer vertex count, got 0.0"),
+    (True, [], {}, "tree needs an integer vertex count, got True"),
+    (np.True_, [], {}, "tree needs an integer vertex count, got np.True_"),
+    (None, [], {}, "tree needs an integer vertex count, got None"),
+    ("3", [(1, 2), (2, 3)], {}, "tree needs an integer vertex count, got '3'"),
+    (0, [], {}, "tree needs at least 1 vertex, got 0"),
+    (np.int32(3), [(1, 2), (2, 3)], {}, None),
+    (np.uint64(1), [], {}, None),
 ])
 def test_constructor_fault_precedence(n, edges, data, want):
     if want is None:
-        assert build_tree(n, edges, **data).n == n
+        tree = build_tree(n, edges, **data)
+        assert tree.n == n and type(tree.n) is int
         return
-    with pytest.raises(TreeParseError) as err:
+    # the vertex count's faults are preconditions, the edges' and values' parse errors
+    fault = PreconditionError if want.startswith("tree needs") else TreeParseError
+    with pytest.raises(fault) as err:
         build_tree(n, edges, **data)
-    assert str(err.value) == want
+    assert type(err.value) is fault and str(err.value) == want
 
 
 @pytest.mark.parametrize("eu,ev,want", [
@@ -636,6 +650,90 @@ def test_preorder_follows_the_tour_rule():
         tree = build_tree(base.n, [(ids[u], ids[v]) for u, v in
                                    zip(base.eu.tolist(), base.ev.tolist())])
         assert_traversal_is_the_walk(tree)
+        # these trees take the Python walk; the numpy kernel gets them too
+        if tree.n > 1:
+            assert_same_arrays(_numpy_kernel(tree), tour_walk(tree))
+
+
+def _numpy_kernel(tree: WeightedTree) -> dict | None:
+    return tree_module._numpy_traversal(tree.n, tree.eu, tree.ev, tree.length)
+
+
+def _walk_kernel(tree: WeightedTree) -> dict | None:
+    return tree_module._walk_traversal(tree.n, tree.eu, tree.ev, tree.length)
+
+
+# lengths that make a running sum differ from a parent's depth plus plen
+_ODD_LENGTHS = (0.1, 0.2, 0.3, 1 / 3, 2.5, 0.0, -0.0)
+
+
+@pytest.mark.parametrize("kind", SHAPES)
+def test_walk_matches_the_numpy_kernel(kind):
+    """Both kernels give the same arrays, by dtype and bytes, on both sides
+    of the dispatch: relabelled ids, shuffled edges, and integer, zero,
+    fractional and -0.0 lengths.  The tree keeps the kernel's arrays that
+    its size picks, and the numpy kernel starts at 2 vertices."""
+    rng = random.Random(len(kind))
+    for n in range(1, tree_module._WALK_MAX + 9):
+        for draw in (None, lambda: 0.0, lambda: rng.choice(_ODD_LENGTHS)):
+            base = relabelled(rng, shape_tree(rng, kind, n, zero=True))
+            length = base.length if draw is None else [draw() for _ in range(n - 1)]
+            tree = WeightedTree(n, base.eu, base.ev, length, base.w, base.t)
+            walk = _walk_kernel(tree)
+            ranked = _numpy_kernel(tree) if n > 1 else tour_walk(tree)
+            assert_same_arrays(walk, ranked)
+            assert_same_arrays({name: getattr(tree, name) for name in TRAVERSAL}, walk)
+
+
+def test_kernels_sum_depths_in_tour_order():
+    """Vertex 4 hangs off vertex 2 by a -0.0 edge: the tour reaches it after
+    going down 0.1 and 0.2 and back up 0.2, which leaves 2.78e-17 that
+    pdep[parent] + plen would not.  A first step of -0.0 is taken as is."""
+    tree = build_tree(4, [(1, 2), (2, 3), (2, 4)], [0.1, 0.2, -0.0])
+    deep = 0.1 + 0.2 - 0.2
+    assert deep != 0.1
+    for kernel in (_walk_kernel, _numpy_kernel):
+        arrays = kernel(tree)
+        assert arrays["pdep"].tolist() == [0.0, 0.1, 0.1 + 0.2, deep]
+        assert_same_arrays(arrays, tour_walk(tree))
+    tree = build_tree(3, [(1, 2), (2, 3)], [-0.0, 1.0])
+    for kernel in (_walk_kernel, _numpy_kernel):
+        pdep = kernel(tree)["pdep"]
+        assert np.signbit(pdep).tolist() == [False, True, False]
+
+
+def _non_tree(rng: random.Random, n: int, cycle: int) -> tuple[list, list]:
+    """n - 1 edges on n vertices: a cycle on `cycle` vertices (2 is a
+    duplicate edge) beside a random tree on the rest, relabelled and
+    shuffled, as 0-based endpoint columns.  A lone vertex beside the cycle
+    is vertex 0, which then has no edge."""
+    edges = [(i, (i + 1) % cycle) for i in range(cycle)]
+    edges += [(rng.randrange(cycle, i), i) for i in range(cycle + 1, n)]
+    ids = rng.sample(range(n), n)
+    if n == cycle + 1:
+        ids[ids.index(0)], ids[cycle] = ids[cycle], 0
+    rng.shuffle(edges)
+    return [ids[u] for u, _ in edges], [ids[v] for _, v in edges]
+
+
+@pytest.mark.parametrize("cycle,want", [(2, "duplicate edge"),
+                                        (3, "edge list does not connect all vertices"),
+                                        (5, "edge list does not connect all vertices")])
+def test_kernels_reject_the_same_non_trees(monkeypatch, cycle, want):
+    """Each kernel returns None for a cycle beside a tree, wherever vertex
+    0 lands, and the constructor names the same fault whichever one ran."""
+    rng = random.Random(cycle)
+    for n in range(cycle + 1, tree_module._WALK_MAX + 9):
+        eu, ev = _non_tree(rng, n, cycle)
+        lo, hi = np.minimum(eu, ev), np.maximum(eu, ev)
+        length = np.array([rng.choice(_ODD_LENGTHS) for _ in range(n - 1)])
+        assert tree_module._walk_traversal(n, lo, hi, length) is None
+        assert tree_module._numpy_traversal(n, lo, hi, length) is None
+        for limit in (0, n):
+            monkeypatch.setattr(tree_module, "_WALK_MAX", limit)
+            with pytest.raises(TreeParseError) as err:
+                WeightedTree(n, eu, ev, length, np.ones(n), np.ones(n))
+            assert str(err.value) == want
 
 
 @pytest.mark.parametrize("n", [10_000, 70_000])
