@@ -169,9 +169,13 @@ def assert_same_arrays(got: dict, want: dict) -> None:
         assert got[name].tobytes() == want[name].tobytes(), name
 
 
+def traversal_arrays(tree: WeightedTree) -> dict:
+    return {name: getattr(tree, name) for name in TRAVERSAL}
+
+
 def assert_traversal_is_the_walk(tree: WeightedTree) -> None:
     """Every traversal array of the tree equals tour_walk's, bit for bit."""
-    assert_same_arrays({name: getattr(tree, name) for name in TRAVERSAL}, tour_walk(tree))
+    assert_same_arrays(traversal_arrays(tree), tour_walk(tree))
 
 
 def walk_positions(succ: np.ndarray) -> np.ndarray | None:

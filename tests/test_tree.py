@@ -12,8 +12,8 @@ from treeloc import (GenSpec, PathDescriptor, PreconditionError, TreeParseError,
 import treeloc.tree as tree_module
 from treeloc.tree import dist_sums, distances
 
-from conftest import (SHAPES, TRAVERSAL, assert_same_arrays, assert_traversal_is_the_walk,
-                      random_int_tree, relabelled, shape_tree, tour_walk, walk_positions)
+from conftest import (SHAPES, assert_same_arrays, assert_traversal_is_the_walk, random_int_tree,
+                      relabelled, shape_tree, tour_walk, traversal_arrays, walk_positions)
 
 nan, inf = float("nan"), float("inf")
 
@@ -682,7 +682,7 @@ def test_walk_matches_the_numpy_kernel(kind):
             walk = _walk_kernel(tree)
             ranked = _numpy_kernel(tree) if n > 1 else tour_walk(tree)
             assert_same_arrays(walk, ranked)
-            assert_same_arrays({name: getattr(tree, name) for name in TRAVERSAL}, walk)
+            assert_same_arrays(traversal_arrays(tree), walk)
 
 
 def test_kernels_sum_depths_in_tour_order():
