@@ -5,12 +5,16 @@
 Runs `python -m pytest -q --continue-on-collection-errors` from the root of
 the checkout with src first on PYTHONPATH, the Tier-1 command of ROADMAP.md;
 nothing is skipped or deselected.  Prints the passed and failed counts and
-the ACCEPT lines of the failing gates, then the verdict.
+the ACCEPT lines of the failing gates, then the verdict.  Then runs the
+benchmark's own tests, `python -m pytest bench -q`, the same way, and prints
+their counts and verdict in one line.
 
-Exits 0 only when the failed tests are exactly the two gates that fail by
-design, each with its known counts: the linear 2-maxian is a heuristic and
-the gates measure its gap on the reference family.  Any other failure, a
-collection error or a changed count exits 1.
+Exits 0 only when the failed tests are exactly the known ones.  In Tier-1
+they are the two gates that fail by design, each with its known counts: the
+linear 2-maxian is a heuristic and the gates measure its gap on the
+reference family.  In the benchmark's tests it is the one test that asserts
+a linear expression-shape fault the program no longer has.  Any other
+failure, a collection error or a changed count exits 1.
 """
 
 import os
@@ -29,15 +33,17 @@ BY_DESIGN = {
         "ACCEPT endpoint-leaf-optimality: FAIL (diameter endpoints miss the optimum "
         "in 53/2200 cases, leaf pairs in 4/2200, enumeration disagrees with brute in 0)",
 }
+# the benchmark's test that cannot pass against the current program; it has
+# no ACCEPT line
+BENCH_KNOWN = {"bench/test_checks.py::test_linear_bound_flags_gap_shape_and_excess": None}
 
 
-def run_pytest() -> tuple[int, str]:
+def run_pytest(*args: str) -> tuple[int, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
-        cwd=ROOT, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", *args],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
     return proc.returncode, proc.stdout + proc.stderr
 
 
@@ -54,35 +60,45 @@ def summary(output: str) -> tuple[dict, set, list]:
     return counts, failed, accept
 
 
-def verdict(code: int, counts: dict, failed: set, accept: list) -> list[str]:
-    """Every way the run differs from the expected one; empty when it
-    matches."""
+def verdict(code: int, counts: dict, failed: set, accept: list,
+            known: dict) -> list[str]:
+    """Every way the run differs from the expected one, whose failures are
+    the keys of known, each with its ACCEPT line's start when it has one;
+    empty when it matches."""
     problems = []
     if code not in (0, 1) or not counts:
         problems.append(f"pytest exited {code} without a summary line")
     if counts.get("error"):
         problems.append(f"{counts['error']} collection or set-up errors")
-    for test in sorted(failed - BY_DESIGN.keys()):
+    for test in sorted(failed - known.keys()):
         problems.append(f"unexpected failure: {test}")
-    for test, prefix in BY_DESIGN.items():
+    for test, prefix in known.items():
         if test not in failed:
-            problems.append(f"by-design gate no longer fails: {test}")
-        elif not any(ln.startswith(prefix) for ln in accept):
+            problems.append(f"known failure no longer fails: {test}")
+        elif prefix and not any(ln.startswith(prefix) for ln in accept):
             problems.append(f"changed counts in {test}")
     return problems
 
 
 def main() -> int:
-    code, output = run_pytest()
+    code, output = run_pytest("--continue-on-collection-errors")
     counts, failed, accept = summary(output)
     print(f"passed {counts.get('passed', 0)} failed {counts.get('failed', 0)}")
     for line in accept:
         print(line)
-    problems = verdict(code, counts, failed, accept)
+    problems = verdict(code, counts, failed, accept, BY_DESIGN)
     for problem in problems:
         print(f"CHANGED: {problem}")
     print("tier1: as expected" if not problems else "tier1: not as expected")
-    return 1 if problems else 0
+
+    code, output = run_pytest("bench")
+    counts, failed, accept = summary(output)
+    bench_problems = verdict(code, counts, failed, accept, BENCH_KNOWN)
+    for problem in bench_problems:
+        print(f"CHANGED: {problem}")
+    print(f"bench tests: passed {counts.get('passed', 0)} failed {counts.get('failed', 0)}, "
+          + ("as expected" if not bench_problems else "not as expected"))
+    return 1 if problems or bench_problems else 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ and "warning: ..." lines.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import stat
@@ -19,9 +18,10 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, PreconditionError, TreeParseError
-from .experiments import (ExperimentRecord, GenSpec, _allocation_report,
-                          _gen_columns, _sweep, check_method, check_problem,
-                          emit_csv, lambda_sweep, pareto_front, record_fields)
+from .experiments import (COLUMNS, ExperimentRecord, GenSpec, _allocation_report,
+                          _csv_lines, _gen_columns, _sweep, check_grid,
+                          check_method, check_problem, lambda_sweep,
+                          pareto_front, record_fields)
 from .objectives import SolverConfig
 from .oracle import DEFAULT_CAP, brute_2maxian, brute_2median
 from .tree import (WeightedTree, _columns, _fmt, _read_lines, _render_columns,
@@ -108,12 +108,6 @@ def _load_tree(path: str) -> WeightedTree:
         return parse_tree(fh.read())
 
 
-def _records_csv(records: list[ExperimentRecord]) -> str:
-    buf = io.StringIO()
-    emit_csv(records, buf)
-    return buf.getvalue()
-
-
 def _summary(rec: ExperimentRecord) -> str:
     label = "medians" if rec.problem == "median" else "facilities"
     return "\n".join([
@@ -129,22 +123,24 @@ def _summary(rec: ExperimentRecord) -> str:
     ])
 
 
-def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit(args, text: str, payload, csv_text: str) -> int:
-    """Print the text; with --output, also write the chosen format there."""
+def _emit(args, text: str, payload, rows) -> int:
+    """Print the text; with --output, also build and write there the one
+    format asked for: the text, the payload as JSON, or rows (a header row,
+    then value rows) as CSV."""
     print(text)
     if args.output:
-        _write_text(args.output, {"text": text, "csv": csv_text,
-                                  "json": json.dumps(payload, indent=2)}[args.format])
+        data = (_csv_lines(rows) if args.format == "csv" else
+                (json.dumps(payload, indent=2) if args.format == "json" else text) + "\n")
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(data)
     return 0
 
 
-def _emit_record(args, rec: ExperimentRecord) -> int:
-    return _emit(args, _summary(rec), record_fields(rec), _records_csv([rec]))
+def _emit_records(args, text: str, records: list[ExperimentRecord]) -> int:
+    """_emit of records: their columns, one object or a list of several as JSON."""
+    fields = [record_fields(r) for r in records]
+    return _emit(args, text, fields[0] if len(fields) == 1 else fields,
+                 [COLUMNS, *(f.values() for f in fields)])
 
 
 def _parse_lambdas(text: str) -> list[float]:
@@ -175,7 +171,7 @@ def _solve_once(args, problem: str):
 
 def _cmd_solve(args, problem: str) -> int:
     *_, (rec,) = _solve_once(args, problem)
-    return _emit_record(args, rec)
+    return _emit_records(args, _summary(rec), [rec])
 
 
 def _cmd_oracle(args) -> int:
@@ -187,43 +183,37 @@ def _cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     sol = brute(cfg, tree, cap=args.cap)
     ms = (time.perf_counter() - t0) * 1e3
-    return _emit_record(args, ExperimentRecord(**vars(sol), lam=cfg.lam, n=tree.n,
-                                               runtime_ms=ms))
+    rec = ExperimentRecord(**vars(sol), lam=cfg.lam, n=tree.n, runtime_ms=ms)
+    return _emit_records(args, _summary(rec), [rec])
 
 
 def _cmd_sweep(args) -> int:
     check_problem(args.problem)
     check_method(args.method)
     _check_format(args.format)
-    lambdas = _parse_lambdas(args.lambdas)
+    lambdas = [SolverConfig(lam).lam for lam in _parse_lambdas(args.lambdas)]
     tree = _load_tree(args.input)
     records = lambda_sweep(tree, args.problem, lambdas, method=args.method)
     lines = [f"problem {args.problem} n {tree.n} sweeps {len(records)}"]
-    for r in records:
-        lines.append(
-            f"lambda {_fmt(r.lam)} objective {_fmt(r.objective)} "
-            f"transport {_fmt(r.transport)} f5 {_fmt(r.f5)} "
-            f"edge ({r.edge_uv[0]},{r.edge_uv[1]}) "
-            f"facilities ({r.facilities[0]},{r.facilities[1]})")
-    payload = [record_fields(r) for r in records]
-    return _emit(args, "\n".join(lines),
-                 payload[0] if len(payload) == 1 else payload,
-                 _records_csv(records))
+    lines += (f"lambda {_fmt(r.lam)} objective {_fmt(r.objective)} "
+              f"transport {_fmt(r.transport)} f5 {_fmt(r.f5)} "
+              f"edge ({r.edge_uv[0]},{r.edge_uv[1]}) "
+              f"facilities ({r.facilities[0]},{r.facilities[1]})" for r in records)
+    return _emit_records(args, "\n".join(lines), records)
 
 
 def _cmd_pareto(args) -> int:
     check_problem(args.problem)
     _check_format(args.format)
+    check_grid(args.grid)
     tree = _load_tree(args.input)
     pts = pareto_front(tree, args.problem, args.grid)
     lines = [f"problem {args.problem} grid {args.grid} points {len(pts)}"]
-    for tc, f5 in pts:
-        lines.append(f"transport {_fmt(tc)} f5 {_fmt(f5)}")
-    rows = ["transport,f5"] + [f"{_fmt(a)},{_fmt(b)}" for a, b in pts]
+    lines += (f"transport {_fmt(a)} f5 {_fmt(b)}" for a, b in pts)
     return _emit(args, "\n".join(lines),
                  {"problem": args.problem, "grid": args.grid,
                   "points": [[float(a), float(b)] for a, b in pts]},
-                 "\n".join(rows))
+                 [("transport", "f5"), *pts])
 
 
 def _cmd_gen(args) -> int:
@@ -248,8 +238,8 @@ def _cmd_report(args) -> int:
     dev = _allocation_report(rec, tree, table.reach)
     return _emit(args, _summary(rec) + f"\ndeviations {dev}",
                  {**record_fields(rec), "deviations": dev},
-                 "problem,method,lambda,deviations\n"
-                 f"{rec.problem},{rec.method},{_fmt(rec.lam)},{dev}")
+                 [("problem", "method", "lambda", "deviations"),
+                  (rec.problem, rec.method, rec.lam, dev)])
 
 
 def _warning_line(message, category, filename, lineno, file=None, line=None):
@@ -280,15 +270,10 @@ def run(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.showwarning = _warning_line
             return dispatch[args.command](args)
-    except (TreeParseError, OSError, UnicodeDecodeError) as exc:
+    except (TreeParseError, OSError, UnicodeDecodeError, ConfigError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return (3 if isinstance(exc, ConfigError)
+                else 4 if isinstance(exc, PreconditionError) else 2)
 
 
 def main() -> None:

@@ -145,6 +145,11 @@ def check_problem(problem: str):
         raise ConfigError(f"unknown problem {problem!r}; expected median or maxian")
 
 
+def check_grid(grid_size: int):
+    if grid_size < 2:
+        raise ConfigError("grid_size must be at least 2")
+
+
 def check_method(method: str):
     if method not in ("linear", "cubic"):
         raise ConfigError(f"unknown method {method!r}; expected linear or cubic")
@@ -202,8 +207,7 @@ def pareto_front(tree: WeightedTree, problem: str,
     minimizes f5.  The maxian front comes from the linear diameter-endpoint
     heuristic, so it is heuristic too.  The grid size is checked first,
     then the problem."""
-    if grid_size < 2:
-        raise ConfigError("grid_size must be at least 2")
+    check_grid(grid_size)
     check_problem(problem)
     lambdas = [k / (grid_size - 1) for k in range(grid_size)]
     table = SOLVERS[problem, "linear"](tree)
@@ -242,7 +246,6 @@ def _allocation_report(solution: Solution, tree: WeightedTree, reach: dict) -> i
 
 COLUMNS = ("test", "n", "seed", "problem", "method", "lambda", "transport", "f5",
            "objective", "edge_u", "edge_v", "fac1", "fac2", "runtime_ms")
-CSV_HEADER = ",".join(COLUMNS)
 
 
 def record_fields(r: ExperimentRecord) -> dict:
@@ -255,13 +258,16 @@ def record_fields(r: ExperimentRecord) -> dict:
 def emit_csv(records: Sequence[ExperimentRecord], sink) -> None:
     """Write records in the fixed CSV schema; sink is a path or a text
     file-like.  Floats use shortest round-trip formatting; lines end in LF."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in record_fields(r).values()))
-    text = "\n".join(lines) + "\n"
+    text = _csv_lines([COLUMNS, *(record_fields(r).values() for r in records)])
     if hasattr(sink, "write"):
         sink.write(text)
     else:
         with open(sink, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _csv_lines(rows: Iterable[Iterable]) -> str:
+    """A header row and then value rows as CSV lines, each ended by LF:
+    floats in the shortest form that round-trips, other values by str."""
+    return "".join(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+                   for row in rows)

@@ -99,8 +99,7 @@ class CutTable:
     answers every lambda, and picks answers a whole list of them.  A linear
     table keeps in reach the distances from each of its two facilities to
     every vertex, by the facility's 1-based id and then by vertex id, for
-    its picks to recompute from; recomputed keeps the (transport, f5) a pick
-    recomputed, by edge, for picks at other lambdas.
+    its picks to recompute from.
     """
 
     problem: str
@@ -110,7 +109,6 @@ class CutTable:
     f5: np.ndarray
     facilities: np.ndarray
     reach: dict = field(default_factory=dict, repr=False)
-    recomputed: dict = field(default_factory=dict, repr=False)
 
     def pick(self, lam: float, tree: WeightedTree) -> Solution:
         """The best cut at lam: picks([lam], tree)[0]."""
@@ -128,7 +126,8 @@ class CutTable:
         in reach; the objective comes from them.  When no cut has a finite
         objective, or a NaN from overflowed sums leaves the pick undefined,
         it raises PreconditionError."""
-        out, step = [], _BLOCK // self.edges.size or 1
+        # the (transport, f5) a linear pick recomputed, by edge, for later lams
+        out, recomputed, step = [], {}, _BLOCK // self.edges.size or 1
         for j, lam in enumerate(lams):
             i = j % step
             if i == 0:
@@ -144,17 +143,17 @@ class CutTable:
             e, (x1, x2) = self.edges.item(k), self.facilities[k].tolist()
             transport, f5 = self.transport.item(k), self.f5.item(k)
             if self.method == "linear":
-                if e not in self.recomputed:
+                if e not in recomputed:
                     # x2 serves side a, which holds the smaller endpoint,
                     # from side b; x1 serves side b from side a
                     in_a = _side_a(tree, e)
                     if in_a[x2 - 1] or not in_a[x1 - 1]:
                         raise PreconditionError(_OPPOSITE)
                     z_a = float(tree.z[in_a].sum())
-                    self.recomputed[e] = (
+                    recomputed[e] = (
                         _transport(tree, in_a, self.reach[x2], self.reach[x1]),
                         abs(z_a - (float(tree.z.sum()) - z_a)))
-                transport, f5 = self.recomputed[e]
+                transport, f5 = recomputed[e]
                 path_value, value = value, objective(lam, transport, f5, self.problem)
                 assert abs(value - path_value) <= TOLERANCE * (1.0 + abs(path_value)), \
                     "path objective disagrees with component recomputation"

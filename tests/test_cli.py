@@ -217,6 +217,9 @@ def test_report_csv(tmp_path, capsys):
     (["sweep", "median", "--lambdas", ",", "--input", "IN"], 3),
     (["gen", "--n", "0"], 3),
     (["gen", "--n", "5", "--length-max", "inf"], 3),
+    # a bad lambda or grid is named before the input is opened
+    (["sweep", "maxian", "--lambdas", "0.5,2", "--input", "/nope/missing"], 3),
+    (["pareto", "maxian", "--grid", "1", "--input", "/nope/missing"], 3),
 ])
 def test_config_errors(argv, code, capsys):
     argv = [T6 if a == "IN" else a for a in argv]
@@ -383,6 +386,26 @@ GOLDEN = [
      '  "fac1": 1,\n  "fac2": 5,\n  "runtime_ms": X\n}\n'),
     (["oracle", "maxian", "--lambda", "0.5"], "csv",
      CSV_HEAD + "0,6,0,maxian,brute,0.5,24,0,12,3,4,1,5,X\n"),
+    # a one-lambda sweep writes one object, not a list of one
+    (["sweep", "maxian", "--lambdas", "0.5"], "json",
+     '{\n  "test": 0,\n  "n": 6,\n  "seed": 0,\n'
+     '  "problem": "maxian",\n  "method": "linear",\n'
+     '  "lambda": 0.5,\n  "transport": 24.0,\n  "f5": 0.0,\n'
+     '  "objective": 12.0,\n  "edge_u": 3,\n  "edge_v": 4,\n'
+     '  "fac1": 1,\n  "fac2": 5,\n  "runtime_ms": X\n}\n'),
+    (["sweep", "median", "--lambdas", "0,0.5,1"], "text",
+     "problem median n 6 sweeps 3\n"
+     "lambda 0 objective 0 transport 5 f5 0 edge (3,4) facilities (2,4)\n"
+     "lambda 0.5 objective 2.5 transport 5 f5 0 edge (3,4) facilities (2,4)\n"
+     "lambda 1 objective 5 transport 5 f5 4 edge (1,2) facilities (1,4)\n"),
+    (["pareto", "maxian"], "text",
+     "problem maxian grid 11 points 2\ntransport 24 f5 0\ntransport 25 f5 2\n"),
+    (["report", "median", "--lambda", "0.5"], "text",
+     "problem median\nn 6\nmethod edge-deletion\nlambda 0.5\ndeleted edge (3,4)\n"
+     "medians (2,4)\ntransport 5\nf5 0\nobjective 2.5\ndeviations 0\n"),
+    # the linear table's distance rows give the maxian's deviations
+    (["report", "maxian", "--lambda", "0.5"], "csv",
+     "problem,method,lambda,deviations\nmaxian,linear,0.5,1\n"),
 ]
 
 

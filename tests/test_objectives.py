@@ -152,7 +152,7 @@ def test_pick_rejects_facilities_on_the_side_they_serve(t6):
     """A linear table whose facility columns are swapped puts each facility
     inside the side it serves; the pick's recomputation refuses it."""
     table = linear_cut_table(t6)
-    swapped = replace(table, facilities=table.facilities[:, ::-1], recomputed={})
+    swapped = replace(table, facilities=table.facilities[:, ::-1])
     with pytest.raises(PreconditionError) as err:
         swapped.pick(0.5, t6)
     assert str(err.value) == "maxian facilities must lie opposite the side they serve"
