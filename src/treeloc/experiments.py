@@ -13,7 +13,7 @@ from .errors import ConfigError, PreconditionError
 from .maxian import cubic_cut_table, linear_cut_table
 from .median import median_cut_table
 from .objectives import TOLERANCE, CutTable, Solution, SolverConfig, objective
-from .tree import WeightedTree, _fmt, _side_a, distances
+from .tree import WeightedTree, _fmt, _id_in, _side_a, distances
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -74,8 +74,9 @@ class GenSpec:
     service_mode: str = "fixed"
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if isinstance(self.n, bool) or not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if not (0.0 <= self.length_min <= self.length_max):
             raise ConfigError("need 0 <= length_min <= length_max")
         if not math.isfinite(self.length_max):
@@ -231,8 +232,7 @@ def _allocation_report(solution: Solution, tree: WeightedTree, reach: dict) -> i
     reach (a CutTable's, by 1-based id) when it holds both, else sweeping
     them."""
     e = solution.deleted_edge
-    if not (0 <= e < tree.n - 1):
-        raise PreconditionError(f"edge index {e} out of range")
+    _id_in(e, 0, tree.n - 2, f"edge index {e} out of range")
     x1, x2 = solution.facilities
     median = solution.problem == "median"
     # the median's x1 serves side a, the maxian's x1 side b

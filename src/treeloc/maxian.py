@@ -3,7 +3,10 @@
 Two cut tables: a cubic-semantics reference that scores every edge
 deletion against every ordered facility pair under masked weights, and a
 linear method that fixes facilities at the diameter endpoints and scores
-the deletions along the diameter path from prefix sums.
+the cuts between them, each read as a subtree interval of preorder
+positions from prefix sums.  path_fpmax_sweep is the paper's own route,
+over the demand compressed onto the diameter path; the tests hold the
+linear table to it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .objectives import CutTable, Solution, SolverConfig, cut_imbalance, objective
-from .tree import (CompressedPath, WeightedTree, _double_sweep, _fold_onto_path,
-                   cut_blocks, dist_sums, distances)
+from .tree import (CompressedPath, WeightedTree, _double_sweep, cut_blocks,
+                   dist_sums, distances)
 
 
 def _best_pairs(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -60,47 +63,45 @@ def cubic_cut_table(tree: WeightedTree) -> CutTable:
     return CutTable("maxian", "cubic", np.arange(tree.n - 1), f2, cut_imbalance(tree), pairs)
 
 
-def _path_terms(cp: CompressedPath) -> tuple[np.ndarray, np.ndarray]:
-    """Transport and f5 of every path-edge deletion, in path order, with
-    facilities fixed at the path endpoints (each endpoint serves the far
-    side).  Cutting after position j0 serves the prefix from the far end,
+def path_fpmax_sweep(cfg: SolverConfig, cp: CompressedPath) -> list[tuple[int, float]]:
+    """Objective of every path-edge deletion with facilities fixed at the
+    path endpoints (each endpoint serves the far side): the paper's
+    construction on a compressed path.
+
+    Cutting after position j0 serves the prefix from the far end,
     sum_{i<=j0} w_hat_i*(L - p_i), and the suffix from the near end,
-    sum_{i>j0} w_hat_i*p_i; both come from prefix sums.  Transport adds
-    the hanging offset, the demand's distance to the path."""
+    sum_{i>j0} w_hat_i*p_i; both come from prefix sums, and transport adds
+    the hanging offset, the demand's distance to the path.  Values are
+    true objectives, scalarized with the balance term.
+    Returns [(tree edge index, objective), ...] in path order.
+    """
     if cp.base.m < 2:
         raise PreconditionError("path has no edges to delete")
     p = cp.base.prefix
-    L = float(p[-1])
-    SW = cp.w_hat.cumsum()[:-1]
     SWP = (cp.w_hat * p).cumsum()
     SZ = cp.z_hat.cumsum()[:-1]
-    Z = float(cp.z_hat.sum())
-    tc = L * SW + float(SWP[-1]) - 2.0 * SWP[:-1]
-    return tc + cp.hang_offset, np.abs(SZ - (Z - SZ))
-
-
-def path_fpmax_sweep(cfg: SolverConfig, cp: CompressedPath) -> list[tuple[int, float]]:
-    """Objective of every path-edge deletion with facilities fixed at the
-    path endpoints (each endpoint serves the far side).
-
-    Values are true objectives: compressed-weight transport plus the
-    hanging offset, scalarized with the balance term.
-    Returns [(tree edge index, objective), ...] in path order.
-    """
-    transport, f5 = _path_terms(cp)
-    vals = objective(cfg.lam, transport, f5, "maxian")
+    transport = float(p[-1]) * cp.w_hat.cumsum()[:-1] + float(SWP[-1]) - 2.0 * SWP[:-1]
+    f5 = np.abs(SZ - (float(cp.z_hat.sum()) - SZ))
+    vals = objective(cfg.lam, transport + cp.hang_offset, f5, "maxian")
     return [(int(e), float(v)) for e, v in zip(cp.base.edges, vals)]
 
 
 def linear_cut_table(tree: WeightedTree) -> CutTable:
-    """Place facilities at the diameter endpoints, compress all demand onto
-    the diameter path, and score the path edges.  Two one-row distance
-    sweeps do it: from the deepest vertex a, which finds the far endpoint
-    b, and from b.  Compression reads the hanging distances off a's row.
-    The table keeps the rows of a and b for its picks to recompute from.
-    Requires strictly positive edge lengths for the endpoint-optimality
-    guarantee; with any zero-length edge it warns and builds the cubic
-    table instead."""
+    """Place facilities at the diameter endpoints, each serving the far
+    side, and score the cuts between them.  Two one-row distance sweeps
+    find the endpoints and their distance rows: from the deepest vertex a,
+    whose farthest vertex is b, and from b.  The cuts are the edges whose
+    subtree, the preorder positions start <= i < stop, holds exactly one
+    of a and b; nonzero lists them in edge order.  The side holding a is
+    served from b and the other side from a, so a cut's transport is
+    sum_v w[v]*d(v, a) plus the sum of w*(d(., b) - d(., a)) over the side
+    holding a, the subtree or the rest: prefix sums by preorder position
+    give either.  f5 comes from cut_imbalance, as in the other tables,
+    with the subtrees' z sums read off the same prefix buffer.  The table
+    keeps the rows of a and b for its picks to recompute from.  Requires
+    strictly positive edge lengths for the endpoint-optimality guarantee;
+    with any zero-length edge it warns and builds the cubic table
+    instead."""
     _needs_two_vertices(tree)
     if np.count_nonzero(tree.length == 0.0):
         warnings.warn(
@@ -108,18 +109,29 @@ def linear_cut_table(tree: WeightedTree) -> CutTable:
             "guaranteed, falling back to the cubic method",
             RuntimeWarning, stacklevel=2)
         return cubic_cut_table(tree)
-    a, b, da, path = _double_sweep(tree)
+    a, b, da = _double_sweep(tree)
     db = distances(tree, b)[0]
-    transport, f5 = _path_terms(_fold_onto_path(tree, path, da))
-    ends = path.vertices[[0, -1]]
-    # rows in edge order, as CutTable's tie rule takes the first extremal row
-    order = path.edges.argsort()
-    # x1 serves the larger-endpoint side; the endpoint on the prefix side of
-    # the deleted path edge serves the suffix side and vice versa
-    prefix_holds_smaller = (tree.eu[path.edges] + 1 == path.vertices[:-1])[order]
-    pairs = np.where(prefix_holds_smaller[:, None], ends, ends[::-1])
-    return CutTable("maxian", "linear", path.edges[order], transport[order], f5[order],
-                    pairs, reach={a + 1: da, b + 1: db})
+    start = tree.tin.take(tree.low)
+    stop = tree.end.take(start)
+    ia, ib = tree.tin[a], tree.tin[b]
+    holds_a = (start <= ia) & (ia < stop)
+    edges = np.flatnonzero(holds_a != ((start <= ib) & (ib < stop)))
+    start, stop, holds_a = start.take(edges), stop.take(edges), holds_a.take(edges)
+    # one prefix buffer by preorder position, of w*(db - da) and then of z
+    pfx = np.zeros(tree.n + 1)
+    ((db - da) * tree.w).take(tree.preorder).cumsum(out=pfx[1:])
+    # the side holding a is the subtree or the rest, each summed between its
+    # own prefix ends, so that two cuts with only zero weight between them
+    # tie exactly
+    before, after = pfx.take(start), pfx.take(stop)
+    transport = np.where(holds_a, after - before, before + (pfx[-1] - after))
+    transport += float(np.dot(tree.w, da))
+    tree.z.take(tree.preorder).cumsum(out=pfx[1:])
+    f5 = cut_imbalance(tree, pfx.take(stop) - pfx.take(start), edges)
+    # x1, the end on side a (the side holding eu), serves side b
+    x1 = np.where(holds_a == (tree.low.take(edges) == tree.eu.take(edges)), a, b)
+    return CutTable("maxian", "linear", edges, transport, f5,
+                    np.stack((x1, a + b - x1), axis=1) + 1, reach={a + 1: da, b + 1: db})
 
 
 def solve_balanced_2maxian_cubic(cfg: SolverConfig, tree: WeightedTree) -> Solution:

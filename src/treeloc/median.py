@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .objectives import CutTable, Solution, SolverConfig, cut_imbalance
-from .tree import WeightedTree, cut_blocks, dist_sums, root_path_sums, subtree_sums
+from .tree import WeightedTree, _id_in, cut_blocks, dist_sums, root_path_sums, subtree_sums
 
 
 def _one_median_swept(tree: WeightedTree, side: np.ndarray, sub: np.ndarray) -> np.ndarray:
@@ -42,11 +42,11 @@ def one_median(tree: WeightedTree, side: Iterable[int] | None = None) -> tuple[i
     if side is None:
         ids = np.arange(tree.n, dtype=np.int64)
     else:
-        ids = np.unique(np.fromiter((int(v) - 1 for v in side), dtype=np.int64))
+        fault = "side contains an out-of-range vertex id"
+        ids = np.unique(np.fromiter((_id_in(v, 1, tree.n, fault) - 1 for v in side),
+                                    dtype=np.int64))
         if ids.size == 0:
             raise PreconditionError("side is empty")
-        if ids[0] < 0 or ids[-1] >= tree.n:
-            raise PreconditionError("side contains an out-of-range vertex id")
     mask = np.zeros(tree.n, dtype=bool)
     mask[ids] = True
     # connected iff it spans one edge fewer than it has vertices
@@ -251,7 +251,7 @@ def median_cut_table(tree: WeightedTree) -> CutTable:
             medians[edges, 1] = _one_median_swept(tree, ~in_a, W - sub)
     medians += 1
     return CutTable("median", "edge-deletion", np.arange(n - 1), f1,
-                    cut_imbalance(tree, z_sub), medians)
+                    cut_imbalance(tree, z_sub[1:].take(row)), medians)
 
 
 def solve_balanced_2median(cfg: SolverConfig, tree: WeightedTree) -> Solution:

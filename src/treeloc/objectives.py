@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .tree import (_BLOCK, EdgeBipartition, WeightedTree, _side_a, distances,
-                   split_by_edge, subtree_sums)
+from .tree import (_BLOCK, EdgeBipartition, WeightedTree, _id_in, _side_a,
+                   distances, split_by_edge, subtree_sums)
 
 # relative slack for comparing two routes to one float that may round apart
 TOLERANCE = 1e-9
@@ -119,11 +119,11 @@ class CutTable:
         the maximum for the maxian, the smallest edge index among ties, which
         is the first extremal row.  The objectives of a block of lams and
         every cut form one matrix of about _BLOCK elements, so memory stays
-        bounded however many lams there are.  A linear table's path terms
-        round differently from the tree's own sums, so its picked cut is
-        recomputed, once per edge, as eval_transport and eval_f5 would
-        through maxian_assignment, from the side mask and the distance rows
-        in reach; the objective comes from them.  When no cut has a finite
+        bounded however many lams there are.  A linear table's prefix-sum
+        differences round differently from the tree's own sums, so its
+        picked cut is recomputed, once per edge, as eval_transport and
+        eval_f5 would through maxian_assignment, from the side mask and the
+        distance rows in reach; the objective comes from them.  When no cut has a finite
         objective, or a NaN from overflowed sums leaves the pick undefined,
         it raises PreconditionError."""
         # the (transport, f5) a linear pick recomputed, by edge, for later lams
@@ -154,9 +154,9 @@ class CutTable:
                         _transport(tree, in_a, self.reach[x2], self.reach[x1]),
                         abs(z_a - (float(tree.z.sum()) - z_a)))
                 transport, f5 = recomputed[e]
-                path_value, value = value, objective(lam, transport, f5, self.problem)
-                assert abs(value - path_value) <= TOLERANCE * (1.0 + abs(path_value)), \
-                    "path objective disagrees with component recomputation"
+                table_value, value = value, objective(lam, transport, f5, self.problem)
+                assert abs(value - table_value) <= TOLERANCE * (1.0 + abs(table_value)), \
+                    "table objective disagrees with component recomputation"
             out.append(Solution(self.problem, self.method, e, tree.edge_tuple(e), (x1, x2),
                                 transport, f5, value))
         return out
@@ -184,8 +184,7 @@ class Assignment:
         part = self.partition
         n = part._in_a.size
         for f in (self.serve_a, self.serve_b):
-            if not (1 <= f <= n):
-                raise PreconditionError(f"facility id {f} out of range")
+            _id_in(f, 1, n, f"facility id {f} out of range")
         a_in_a = bool(part._in_a[self.serve_a - 1])
         b_in_a = bool(part._in_a[self.serve_b - 1])
         if self.mode == "median":
@@ -234,15 +233,17 @@ def _transport(tree: WeightedTree, in_a: np.ndarray, da: np.ndarray,
     return ta + tb
 
 
-def cut_imbalance(tree: WeightedTree, z_sub: np.ndarray | None = None) -> np.ndarray:
-    """f5 of every edge deletion, in edge order: |z_a - z_b| with z_a the
-    z sum of the side holding the smaller endpoint, from z's subtree sums
+def cut_imbalance(tree: WeightedTree, z_low: np.ndarray | None = None,
+                  edges=slice(None)) -> np.ndarray:
+    """f5 of the deletions of edges (default: every edge), in that order:
+    |z_a - z_b| with z_a the z sum of the side holding the smaller
+    endpoint, from z_low, the z sums of the subtrees below the edges
     (given, or computed here)."""
     Z = float(tree.z.sum())
-    if z_sub is None:
-        z_sub = subtree_sums(tree, tree.z[tree.preorder])
-    z_low = z_sub[tree.tin[tree.low]]
-    z_a = np.where(tree.low == tree.eu, z_low, Z - z_low)
+    low = tree.low[edges]
+    if z_low is None:
+        z_low = subtree_sums(tree, tree.z[tree.preorder])[tree.tin[low]]
+    z_a = np.where(low == tree.eu[edges], z_low, Z - z_low)
     return np.abs(z_a - (Z - z_a))
 
 

@@ -438,10 +438,18 @@ def cut_blocks(tree: WeightedTree, edges: np.ndarray | None = None
         yield edges[rows], in_a, np.where(in_a, w, 0.0)
 
 
+def _id_in(x, lo: int, hi: int, fault: str) -> int:
+    """x as an int when it is an integer, Python or numpy but not a bool, in
+    lo..hi; else PreconditionError(fault), the one check of the vertex ids
+    and edge indexes that callers pass."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not lo <= x <= hi:
+        raise PreconditionError(fault)
+    return int(x)
+
+
 def dist(tree: WeightedTree, a: int, b: int) -> float:
     """Unique-path distance between 1-based vertices a and b."""
-    if not (1 <= a <= tree.n and 1 <= b <= tree.n):
-        raise PreconditionError("vertex id out of range")
+    a, b = (_id_in(v, 1, tree.n, "vertex id out of range") for v in (a, b))
     return float(distances(tree, a - 1)[0, b - 1])
 
 
@@ -472,8 +480,7 @@ def _side_a(tree: WeightedTree, e: int) -> np.ndarray:
 
 
 def split_by_edge(tree: WeightedTree, e: int) -> EdgeBipartition:
-    if not (0 <= e < tree.n - 1):
-        raise PreconditionError(f"edge index {e} out of range")
+    e = _id_in(e, 0, tree.n - 2, f"edge index {e} out of range")
     in_a = _side_a(tree, e)
     side_a = in_a.nonzero()[0] + 1
     side_b = (~in_a).nonzero()[0] + 1
@@ -502,17 +509,10 @@ class PathDescriptor:
         return int(self.vertices.size)
 
 
-def _as_path(tree: WeightedTree, verts: np.ndarray, edges: np.ndarray) -> PathDescriptor:
-    prefix = np.zeros(edges.size + 1)
-    tree.length[edges].cumsum(out=prefix[1:])
-    return PathDescriptor(verts + 1, edges, prefix)
-
-
 def path_between(tree: WeightedTree, a: int, b: int) -> PathDescriptor:
     """Path from 1-based vertex a to b, in that orientation: up from a to
     the lowest common ancestor, then down to b."""
-    if not (1 <= a <= tree.n and 1 <= b <= tree.n):
-        raise PreconditionError("vertex id out of range")
+    a, b = (_id_in(v, 1, tree.n, "vertex id out of range") for v in (a, b))
     # a position's ancestors are the positions at or before it whose
     # interval holds it, so flatnonzero lists them from the root down
     pos, i, j = np.arange(tree.n), tree.tin[a - 1], tree.tin[b - 1]
@@ -524,7 +524,10 @@ def path_between(tree: WeightedTree, a: int, b: int) -> PathDescriptor:
     # each position but the top meets its neighbour toward the top by its parent edge
     pedge = np.empty(tree.n, dtype=np.int64)
     pedge[tree.tin[tree.low]] = pos[:-1]
-    return _as_path(tree, tree.preorder[spots], pedge[spots[spots != top]])
+    edges = pedge[spots[spots != top]]
+    prefix = np.zeros(edges.size + 1)
+    tree.length[edges].cumsum(out=prefix[1:])
+    return PathDescriptor(tree.preorder[spots] + 1, edges, prefix)
 
 
 def diameter(tree: WeightedTree) -> PathDescriptor:
@@ -536,16 +539,16 @@ def diameter(tree: WeightedTree) -> PathDescriptor:
     consists of longest-path endpoints only).  The result is oriented to
     start at its smaller endpoint id.
     """
-    return _double_sweep(tree)[3]
+    a, b, _ = _double_sweep(tree)
+    return path_between(tree, min(a, b) + 1, max(a, b) + 1)
 
 
-def _double_sweep(tree: WeightedTree) -> tuple[int, int, np.ndarray, PathDescriptor]:
+def _double_sweep(tree: WeightedTree) -> tuple[int, int, np.ndarray]:
     """diameter's endpoints, 0-based: a, the deepest vertex, and b, the
-    farthest from a; a's distances by vertex id; and diameter's path."""
+    farthest from a; and a's distances by vertex id."""
     a = int(tree.pdep[tree.tin].argmax())
     da = distances(tree, a)[0]
-    b = int(da.argmax())
-    return a, b, da, path_between(tree, min(a, b) + 1, max(a, b) + 1)
+    return a, int(da.argmax()), da
 
 
 @dataclass(frozen=True, eq=False)
@@ -583,29 +586,20 @@ def compress_onto_path(tree: WeightedTree, p: PathDescriptor) -> CompressedPath:
     a, b = spot[:-1], spot[1:]
     if np.unique(verts0).size != p.m or ((tree.up[a] != b) & (tree.up[b] != a)).any():
         raise PreconditionError("path does not belong to the tree")
-    return _fold_onto_path(tree, p, distances(tree, tree.preorder[spot.min()])[0])
-
-
-def _fold_onto_path(tree: WeightedTree, p: PathDescriptor, d: np.ndarray) -> CompressedPath:
-    """compress_onto_path of a path of the tree, given the distances d from
-    any of its vertices q by vertex id: d(v, q) = d(v, anchor(v)) +
-    d(anchor(v), q), so v hangs d[v] - d[anchor(v)] off the path."""
-    m, n = p.m, tree.n
-    verts0 = p.vertices - 1
-    spot = tree.tin[verts0]
     top = int(spot.min())
-    step = np.zeros(n)
+    step = np.zeros(tree.n)
     step[spot] = spot - tree.up[spot]
     step[top] = 0.0
     step[0] += top              # every root path starts at the top
     anchor = tree.preorder[root_path_sums(tree, step).astype(np.int64)][tree.tin]
-    label = np.empty(n, dtype=np.int64)
-    label[verts0] = np.arange(m)
+    label = np.empty(tree.n, dtype=np.int64)
+    label[verts0] = np.arange(p.m)
     at = label[anchor]
-    w_hat = np.bincount(at, weights=tree.w, minlength=m)
-    z_hat = np.bincount(at, weights=tree.z, minlength=m)
-    hang_offset = float(np.dot(tree.w, d - d[anchor]))
-    return CompressedPath(p, w_hat, z_hat, hang_offset)
+    w_hat = np.bincount(at, weights=tree.w, minlength=p.m)
+    z_hat = np.bincount(at, weights=tree.z, minlength=p.m)
+    # d(v, top) = d(v, anchor(v)) + d(anchor(v), top)
+    d = distances(tree, tree.preorder[top])[0]
+    return CompressedPath(p, w_hat, z_hat, float(np.dot(tree.w, d - d[anchor])))
 
 
 def parse_tree(text: str) -> WeightedTree:

@@ -94,6 +94,13 @@ def relabelled(rng: random.Random, tree: WeightedTree) -> WeightedTree:
                         tree.w[inv], tree.t[inv])
 
 
+def reference_family() -> list[WeightedTree]:
+    """The 200-tree reference family, then a relabelled copy of each."""
+    rng = random.Random(20240817)
+    family = [random_int_tree(rng, rng.randint(3, 12)) for _ in range(200)]
+    return family + [relabelled(rng, tree) for tree in family]
+
+
 def count_rows(monkeypatch, module, name: str) -> list[int]:
     """Rows of each call of module.name from now on, in call order, read
     from its second argument's first axis: the name is replaced in every

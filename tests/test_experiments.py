@@ -56,6 +56,8 @@ def test_splitmix_uniform_and_integers():
 def test_genspec_validation():
     with pytest.raises(ConfigError):
         GenSpec(0, 1)
+    with pytest.raises(ConfigError, match="^n must be a positive integer, got True$"):
+        GenSpec(True, 1)
     with pytest.raises(ConfigError):
         GenSpec(5, 1, length_min=3.0, length_max=1.0)
     for bounds in ((0.0, float("inf")), (float("inf"), float("inf")),
@@ -66,6 +68,12 @@ def test_genspec_validation():
         GenSpec(5, 1, weight_mode="gauss")
     with pytest.raises(ConfigError):
         GenSpec(5, 1, service_mode="gauss")
+
+
+def test_genspec_takes_a_numpy_integer_as_int():
+    spec = GenSpec(np.int64(5), 1)
+    assert type(spec.n) is int and spec == GenSpec(5, 1)
+    assert render_tree(gen_random_tree(spec)) == render_tree(gen_random_tree(GenSpec(5, 1)))
 
 
 def test_gen_is_deterministic():

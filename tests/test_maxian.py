@@ -1,6 +1,7 @@
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from treeloc import (GenSpec, PreconditionError, SolverConfig, WeightedTree,
@@ -10,9 +11,10 @@ from treeloc import (GenSpec, PreconditionError, SolverConfig, WeightedTree,
                      path_fpmax_sweep, solve_balanced_2maxian_cubic,
                      solve_balanced_2maxian_linear)
 from treeloc.maxian import linear_cut_table
+from treeloc.objectives import TOLERANCE, cut_imbalance, objective
 
-from conftest import (SHAPES, random_int_path, random_int_tree, relabelled,
-                      shape_tree)
+from conftest import (SHAPES, random_int_path, random_int_tree, reference_family,
+                      relabelled, shape_tree)
 
 
 def test_t6b_both_methods(t6b):
@@ -213,3 +215,28 @@ def test_linear_pick_matches_assignment_route():
             edges.add(sol.deleted_edge)
         several_edges += len(edges) > 1
     assert several_edges >= 200
+
+
+def test_linear_table_matches_the_papers_path_sweep():
+    """The paper's construction is the linear table's oracle: the demand
+    compressed onto the diameter path and swept with facilities at its ends
+    gives the table's edges and, row for row, its objectives, exactly on
+    integer data and within TOLERANCE on float data.  A zero-length edge
+    sends the table to the cubic fallback, so every tree here has positive
+    lengths."""
+    lams = [k / 10 for k in range(11)]
+    for tree in reference_family() + list(_route_trees()):
+        table = linear_cut_table(tree)
+        # one f5 route: the other tables' column at the same edges
+        assert table.f5.tobytes() == cut_imbalance(tree)[table.edges].tobytes()
+        cp = compress_onto_path(tree, diameter(tree))
+        exact = all(np.array_equal(np.trunc(x), x) for x in (tree.length, tree.w, tree.t))
+        for lam in lams:
+            swept = dict(path_fpmax_sweep(SolverConfig(lam), cp))
+            assert sorted(swept) == table.edges.tolist()
+            want = np.array([swept[e] for e in table.edges.tolist()])
+            got = objective(lam, table.transport, table.f5, "maxian")
+            if exact:
+                assert got.tolist() == want.tolist(), (tree.n, lam)
+            else:
+                assert np.all(np.abs(got - want) <= TOLERANCE * (1.0 + np.abs(want)))

@@ -13,7 +13,8 @@ from treeloc.median import median_cut_table
 from treeloc.objectives import TOLERANCE
 from treeloc.oracle import blocked_median_table
 
-from conftest import SHAPES, count_rows, random_int_tree, relabelled, shape_tree
+from conftest import (SHAPES, count_rows, random_int_tree, reference_family, relabelled,
+                      shape_tree)
 
 
 def test_one_median_whole_tree(t6):
@@ -184,13 +185,6 @@ def _shape_trees(zero: bool):
             yield relabelled(rng, tree)
 
 
-def _family():
-    """The 200-tree reference family, then a relabelled copy of each."""
-    rng = random.Random(20240817)
-    family = [random_int_tree(rng, rng.randint(3, 12)) for _ in range(200)]
-    return family + [relabelled(rng, tree) for tree in family]
-
-
 def _assert_same_table(tree):
     """Facilities, transport and f5 equal the blocked oracle's bit for bit."""
     fast, blocked = median_cut_table(tree), blocked_median_table(tree)
@@ -201,7 +195,7 @@ def _assert_same_table(tree):
 
 
 def test_table_matches_blocked_oracle_on_family(t6, t6b):
-    for tree in _family() + [t6, t6b]:
+    for tree in reference_family() + [t6, t6b]:
         _assert_same_table(tree)
 
 

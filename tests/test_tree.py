@@ -5,9 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from treeloc import (GenSpec, PathDescriptor, PreconditionError, TreeParseError,
-                     WeightedTree, all_pairs_dist, build_tree, compress_onto_path,
-                     diameter, dist, gen_random_tree, one_median, parse_tree,
+from treeloc import (GenSpec, PathDescriptor, PreconditionError, Solution,
+                     TreeParseError, WeightedTree, all_pairs_dist, allocation_report,
+                     build_tree, compress_onto_path, diameter, dist, gen_random_tree,
+                     maxian_assignment, median_assignment, one_median, parse_tree,
                      path_between, render_tree, split_by_edge)
 import treeloc.tree as tree_module
 from treeloc.tree import dist_sums, distances
@@ -451,6 +452,34 @@ def test_arrays_are_read_only(t6):
         t6.length[0] = 9.0
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda t: one_median(t, [1.7, 2]), id="one_median-float"),
+    pytest.param(lambda t: one_median(t, [True, 2]), id="one_median-bool"),
+    pytest.param(lambda t: dist(t, True, 2), id="dist-bool"),
+    pytest.param(lambda t: dist(t, 1.5, 2), id="dist-float"),
+    pytest.param(lambda t: path_between(t, 2.5, 5), id="path_between-float"),
+    pytest.param(lambda t: split_by_edge(t, 1.0), id="split_by_edge-float"),
+    pytest.param(lambda t: split_by_edge(t, True), id="split_by_edge-bool"),
+    pytest.param(lambda t: maxian_assignment(t, 1, 2.5, 1), id="maxian_assignment-float"),
+    pytest.param(lambda t: median_assignment(t, True, 1, 2), id="median_assignment-bool"),
+    pytest.param(lambda t: allocation_report(
+        Solution("maxian", "cubic", True, (1, 2), (2, 1), 1.0, 0.0, 1.0), t),
+        id="allocation_report-bool"),
+])
+def test_ids_and_edge_indexes_must_be_integers(t6, call):
+    """A float id is not truncated and a bool is not read as 0 or 1: each
+    raises PreconditionError, as an integer out of range does."""
+    with pytest.raises(PreconditionError, match="out of range|out-of-range"):
+        call(t6)
+
+
+def test_numpy_integer_ids_are_accepted(t6):
+    assert dist(t6, np.int64(1), np.int32(5)) == dist(t6, 1, 5) == 5.0
+    assert split_by_edge(t6, np.int64(2)).side_a.tolist() == [1, 2, 3]
+    assert path_between(t6, np.uint8(1), np.int64(5)).edges.tolist() == [0, 1, 2, 3]
+    assert one_median(t6, np.array([4, 5, 6])) == one_median(t6, [4, 5, 6])
+
+
 def test_dist(t6):
     assert dist(t6, 1, 5) == 5.0
     assert dist(t6, 5, 6) == 2.0
@@ -560,25 +589,28 @@ def test_compress_mass_is_conserved():
         assert cp.Z == tree.Z
 
 
-def test_fold_reads_the_hanging_distances_from_any_path_vertex():
-    """The fold from any vertex q of a path equals compress_onto_path, which
-    folds from the path's top: a vertex's distance to q is its distance to
-    its anchor plus the anchor's to q.  The data are integers, so the
-    hanging offset is exact."""
+def test_compress_folds_each_vertex_onto_its_nearest_path_vertex():
+    """compress_onto_path against all_pairs_dist: the hanging offset is the
+    weighted distance of every vertex to its nearest path vertex, exact on
+    integer data.  With positive lengths that vertex is unique, and w_hat
+    and z_hat total the weight and z of the vertices nearest each path
+    vertex."""
     rng = random.Random(1302)
     for kind in SHAPES:
         for n in (2, 3, 4, 7, 12, 40):
             for zero in (False, True):
                 tree = shape_tree(rng, kind, n, zero)
                 for t in (tree, relabelled(rng, tree)):
+                    D = all_pairs_dist(t)
                     a, b = rng.randint(1, n), rng.randint(1, n)
                     for p in (diameter(t), path_between(t, a, b)):
                         cp = compress_onto_path(t, p)
-                        for q in p.vertices - 1:
-                            got = tree_module._fold_onto_path(t, p, distances(t, q)[0])
-                            assert got.w_hat.tobytes() == cp.w_hat.tobytes()
-                            assert got.z_hat.tobytes() == cp.z_hat.tobytes()
-                            assert got.hang_offset == cp.hang_offset
+                        near = D[:, p.vertices - 1]
+                        assert cp.hang_offset == float(t.w @ near.min(axis=1))
+                        if t.length.min() > 0:
+                            at = near.argmin(axis=1)
+                            assert cp.w_hat.tolist() == np.bincount(at, t.w, p.m).tolist()
+                            assert cp.z_hat.tolist() == np.bincount(at, t.z, p.m).tolist()
 
 
 def _kernel_cases():
