@@ -13,7 +13,7 @@ from .errors import ConfigError, PreconditionError
 from .maxian import cubic_cut_table, linear_cut_table
 from .median import median_cut_table
 from .objectives import TOLERANCE, CutTable, Solution, SolverConfig, objective
-from .tree import WeightedTree, _fmt, _id_in, _side_a, distances
+from .tree import WeightedTree, _fmt, _id_in, _is_integer, _side_a, distances
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -52,6 +52,8 @@ class SplitMix64:
 
     def integers(self, lo: int, hi: int, count: int) -> np.ndarray:
         """int64 values in [lo, hi], inclusive bounds."""
+        if hi < lo:
+            raise ConfigError(f"integers needs lo <= hi, got lo={lo}, hi={hi}")
         span = np.uint64(hi - lo + 1)
         return (self.raw(count) % span).astype(np.int64) + lo
 
@@ -64,7 +66,8 @@ class GenSpec:
     service_mode: "fixed" assigns t_i = 1, "uniform" draws t_i from [0, 5).
     The default length_min of 0.01 keeps lengths strictly positive so the
     linear maxian method never needs its zero-length fallback; pass
-    length_min=0 to allow the full [0, 5] range."""
+    length_min=0 to allow the full [0, 5] range.  n and seed are Python or
+    numpy integers, not bools, and are stored as int."""
 
     n: int
     seed: int
@@ -74,9 +77,12 @@ class GenSpec:
     service_mode: str = "fixed"
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        if not (_is_integer(self.n) and self.n >= 1):
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
+        if not _is_integer(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "seed", int(self.seed))
         if not (0.0 <= self.length_min <= self.length_max):
             raise ConfigError("need 0 <= length_min <= length_max")
         if not math.isfinite(self.length_max):
@@ -147,6 +153,8 @@ def check_problem(problem: str):
 
 
 def check_grid(grid_size: int):
+    if not _is_integer(grid_size):
+        raise ConfigError(f"grid_size must be an integer, got {grid_size!r}")
     if grid_size < 2:
         raise ConfigError("grid_size must be at least 2")
 
@@ -234,6 +242,8 @@ def _allocation_report(solution: Solution, tree: WeightedTree, reach: dict) -> i
     e = solution.deleted_edge
     _id_in(e, 0, tree.n - 2, f"edge index {e} out of range")
     x1, x2 = solution.facilities
+    for f in (x1, x2):
+        _id_in(f, 1, tree.n, f"facility id {f} out of range")
     median = solution.problem == "median"
     # the median's x1 serves side a, the maxian's x1 side b
     serve_a, serve_b = (x1, x2) if median else (x2, x1)

@@ -111,7 +111,7 @@ def linear_cut_table(tree: WeightedTree) -> CutTable:
         return cubic_cut_table(tree)
     a, b, da = _double_sweep(tree)
     db = distances(tree, b)[0]
-    start = tree.tin.take(tree.low)
+    start = tree.below
     stop = tree.end.take(start)
     ia, ib = tree.tin[a], tree.tin[b]
     holds_a = (start <= ia) & (ia < stop)
@@ -129,7 +129,7 @@ def linear_cut_table(tree: WeightedTree) -> CutTable:
     tree.z.take(tree.preorder).cumsum(out=pfx[1:])
     f5 = cut_imbalance(tree, pfx.take(stop) - pfx.take(start), edges)
     # x1, the end on side a (the side holding eu), serves side b
-    x1 = np.where(holds_a == (tree.low.take(edges) == tree.eu.take(edges)), a, b)
+    x1 = np.where(holds_a == tree.a_below.take(edges), a, b)
     return CutTable("maxian", "linear", edges, transport, f5,
                     np.stack((x1, a + b - x1), axis=1) + 1, reach={a + 1: da, b + 1: db})
 

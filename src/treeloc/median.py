@@ -231,10 +231,10 @@ def median_cut_table(tree: WeightedTree) -> CutTable:
     f1 *= Wv
     f1 += SubDep[0] + total * pd_y - 2.0 * (R_x + R_y - R[1:])
     del pd_x, pd_y, pd_a, R_x, R_y
-    row = tree.tin.take(tree.low) - 1
+    row = tree.below - 1
     f1 = f1.take(row)
     picked = med.take(row, axis=1)
-    medians = np.where(tree.low != tree.eu, picked[::-1], picked).T
+    medians = np.where(tree.a_below, picked, picked[::-1]).T
 
     # cuts whose walk ends or flat neighbours have zero weight or touch a
     # zero-length edge

@@ -233,17 +233,16 @@ def _transport(tree: WeightedTree, in_a: np.ndarray, da: np.ndarray,
     return ta + tb
 
 
-def cut_imbalance(tree: WeightedTree, z_low: np.ndarray | None = None,
+def cut_imbalance(tree: WeightedTree, z_sub: np.ndarray | None = None,
                   edges=slice(None)) -> np.ndarray:
     """f5 of the deletions of edges (default: every edge), in that order:
     |z_a - z_b| with z_a the z sum of the side holding the smaller
-    endpoint, from z_low, the z sums of the subtrees below the edges
+    endpoint, from z_sub, the z sums of the subtrees below the edges
     (given, or computed here)."""
     Z = float(tree.z.sum())
-    low = tree.low[edges]
-    if z_low is None:
-        z_low = subtree_sums(tree, tree.z[tree.preorder])[tree.tin[low]]
-    z_a = np.where(low == tree.eu[edges], z_low, Z - z_low)
+    if z_sub is None:
+        z_sub = subtree_sums(tree, tree.z[tree.preorder])[tree.below[edges]]
+    z_a = np.where(tree.a_below[edges], z_sub, Z - z_sub)
     return np.abs(z_a - (Z - z_a))
 
 

@@ -50,8 +50,12 @@ class WeightedTree:
     vertex preorder[i], its subtree's positions i <= j < end[i], its depth
     pdep[i], its parent edge's length plen[i] and its parent's position
     up[i] (n, 0, 0 and 0 at the root).  By vertex v: tin[v], v's position.
-    By edge e: low[e], the endpoint below e, whose parent edge it is.  All
-    arrays are frozen read-only.
+    By edge e: below[e], the position whose parent edge e is, and
+    a_below[e], whether eu[e] is the vertex there, that is whether side a
+    of e's deletion (the side holding the smaller endpoint) is the subtree
+    below[e] <= i < end[below[e]] or the rest.  All arrays are frozen
+    read-only; float64 length, w and t arrays are kept, not copied, so the
+    caller's arrays become read-only too.
     """
 
     n: int
@@ -66,12 +70,13 @@ class WeightedTree:
     pdep: np.ndarray = field(init=False, repr=False)
     plen: np.ndarray = field(init=False, repr=False)
     up: np.ndarray = field(init=False, repr=False)
-    low: np.ndarray = field(init=False, repr=False)
     tin: np.ndarray = field(init=False, repr=False)
+    below: np.ndarray = field(init=False, repr=False)
+    a_below: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n
-        if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
+        if not _is_integer(n):
             raise PreconditionError(f"tree needs an integer vertex count, got {n!r}")
         n = int(n)
         object.__setattr__(self, "n", n)
@@ -92,8 +97,6 @@ class WeightedTree:
         hi = np.maximum(eu, ev)
         if lo.size and (lo.min() < 0 or hi.max() >= n):
             raise TreeParseError("edge endpoint out of range")
-        if np.count_nonzero(lo == hi):
-            raise TreeParseError("self-loop edge")
         # one pass over every value, with no sum that could overflow (a NaN
         # fails the first test), freed before the traversal; only a fault
         # runs the loop that names it
@@ -110,12 +113,16 @@ class WeightedTree:
         del vals
         traversal = None if fault else _rooted_traversal(n, lo, hi, length)
         if traversal is None:
-            # n - 1 edges with a duplicate cannot connect n vertices, so the
-            # duplicate test runs only here, and is named before any other fault
+            # n - 1 edges with a self-loop or a duplicate cannot connect n
+            # vertices, so those tests run only here, and are named before
+            # any other fault
+            if np.count_nonzero(lo == hi):
+                raise TreeParseError("self-loop edge")
             key = lo * n + hi
             if np.unique(key).size != key.size:
                 raise TreeParseError("duplicate edge")
             raise TreeParseError(fault or "edge list does not connect all vertices")
+        traversal["a_below"] = traversal["preorder"][traversal["below"]] == lo
         arrays = dict(eu=lo, ev=hi, length=length, w=w, t=t, z=w * t, **traversal)
         for name, arr in arrays.items():
             arr.flags.writeable = False
@@ -212,7 +219,7 @@ def _walk_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
     tin[0] = 0
     preorder, pdep, plen, up = [0], [0.0], [0.0], [0]
     end = [n] * n
-    low = [0] * e
+    below = [0] * e
     depth = -0.0            # the identity of +, so the first step is taken as is
     if e and not ring[0]:
         return None
@@ -226,7 +233,7 @@ def _walk_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
             pdep.append(depth)
             plen.append(d)
             up.append(tin[tails[a]])
-            low[a - e if a >= e else a] = y
+            below[a - e if a >= e else a] = tin[y]
         else:
             depth -= d
             end[tin[tails[a]]] = len(preorder)
@@ -236,7 +243,7 @@ def _walk_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
     i64 = np.int64
     return dict(preorder=np.array(preorder, dtype=i64), tin=np.array(tin, dtype=i64),
                 end=np.array(end, dtype=i64), pdep=np.array(pdep), plen=np.array(plen),
-                up=np.array(up, dtype=i64), low=np.array(low, dtype=i64))
+                up=np.array(up, dtype=i64), below=np.array(below, dtype=i64))
 
 
 def _numpy_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
@@ -290,17 +297,17 @@ def _numpy_traversal(n: int, lo: np.ndarray, hi: np.ndarray,
     pdep = np.zeros(n)
     pdep[1:] = step.cumsum(out=step).take(dn)
     del step
-    low = np.empty(e, dtype=np.int64)
-    low[edge] = preorder[1:]
     tin = np.empty(n, dtype=np.int64)
     at = seq[:n]
     tin[preorder] = at
+    below = np.empty(e, dtype=np.int64)
+    below[edge] = at[1:]
     up = tin.take(up)
     # a subtree's steps lie between its step down and its step back up
     end = np.empty(n, dtype=np.int64)
     end[0] = n
     np.add(at[1:], (rise - dn + 1) >> 1, out=end[1:])
-    return dict(preorder=preorder, tin=tin, end=end, pdep=pdep, plen=plen, up=up, low=low)
+    return dict(preorder=preorder, tin=tin, end=end, pdep=pdep, plen=plen, up=up, below=below)
 
 
 def _group_by_tail(tail: np.ndarray, n: int) -> np.ndarray:
@@ -426,23 +433,29 @@ def cut_blocks(tree: WeightedTree, edges: np.ndarray | None = None
     there, 0 elsewhere (the other side's are the whole tree's minus these)."""
     n = tree.n
     edges = np.arange(n - 1) if edges is None else edges
-    start = tree.tin[tree.low[edges]]
+    start, a_below = tree.below[edges, None], tree.a_below[edges, None]
     stop = tree.end[start]
-    flip = (tree.low[edges] != tree.eu[edges])[:, None]
     w = tree.w[tree.preorder]
     pos = np.arange(n)
     k = max(1, _BLOCK // n)
     for s in range(0, edges.size, k):
         rows = slice(s, s + k)
-        in_a = ((pos >= start[rows, None]) & (pos < stop[rows, None])) ^ flip[rows]
+        in_a = ((pos >= start[rows]) & (pos < stop[rows])) == a_below[rows]
         yield edges[rows], in_a, np.where(in_a, w, 0.0)
 
 
+def _is_integer(x) -> bool:
+    """Whether x is a Python or numpy integer and not a bool (numpy's bool
+    is no integer type): the one test of the counts, ids, indexes and
+    seeds that callers pass."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _id_in(x, lo: int, hi: int, fault: str) -> int:
-    """x as an int when it is an integer, Python or numpy but not a bool, in
-    lo..hi; else PreconditionError(fault), the one check of the vertex ids
-    and edge indexes that callers pass."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not lo <= x <= hi:
+    """x as an int when it is an integer (_is_integer) in lo..hi; else
+    PreconditionError(fault), the one check of the vertex ids and edge
+    indexes that callers pass."""
+    if not (_is_integer(x) and lo <= x <= hi):
         raise PreconditionError(fault)
     return int(x)
 
@@ -474,9 +487,8 @@ class EdgeBipartition:
 def _side_a(tree: WeightedTree, e: int) -> np.ndarray:
     """By vertex id, the side of edge e's deletion that holds its smaller
     endpoint: the subtree below e, or everything else."""
-    low = tree.low[e]
-    start = tree.tin[low]
-    return ((tree.tin >= start) & (tree.tin < tree.end[start])) ^ (low != tree.eu[e])
+    start = tree.below[e]
+    return ((tree.tin >= start) & (tree.tin < tree.end[start])) == tree.a_below[e]
 
 
 def split_by_edge(tree: WeightedTree, e: int) -> EdgeBipartition:
@@ -523,7 +535,7 @@ def path_between(tree: WeightedTree, a: int, b: int) -> PathDescriptor:
                             (over_b > over_a).nonzero()[0]))
     # each position but the top meets its neighbour toward the top by its parent edge
     pedge = np.empty(tree.n, dtype=np.int64)
-    pedge[tree.tin[tree.low]] = pos[:-1]
+    pedge[tree.below] = pos[:-1]
     edges = pedge[spots[spots != top]]
     prefix = np.zeros(edges.size + 1)
     tree.length[edges].cumsum(out=prefix[1:])

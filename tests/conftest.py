@@ -139,7 +139,7 @@ def tour_walk(tree: WeightedTree) -> dict:
         return iter([(y, f) for y, f in nbrs[x][k:] + nbrs[x][:k] if f != came])
 
     tin, pdep, plen, up, end = [0] * n, [0.0] * n, [0.0] * n, [0] * n, [n] * n
-    low = [0] * (n - 1)
+    below = [0] * (n - 1)
     order, depth = [0], 0.0
     stack = [(0, -1, leaving(0, -1))]
     while stack:
@@ -157,14 +157,14 @@ def tour_walk(tree: WeightedTree) -> dict:
         depth = depth + length[f] if len(order) > 1 else length[f]
         i = tin[y] = len(order)
         order.append(y)
-        pdep[i], plen[i], up[i], low[f] = depth, length[f], tin[x], y
+        pdep[i], plen[i], up[i], below[f] = depth, length[f], tin[x], i
         stack.append((y, f, leaving(y, f)))
     return dict(preorder=np.array(order), tin=np.array(tin), end=np.array(end),
                 pdep=np.array(pdep), plen=np.array(plen), up=np.array(up),
-                low=np.array(low, dtype=np.int64))
+                below=np.array(below, dtype=np.int64))
 
 
-TRAVERSAL = ("preorder", "tin", "end", "pdep", "plen", "up", "low")
+TRAVERSAL = ("preorder", "tin", "end", "pdep", "plen", "up", "below")
 
 
 def assert_same_arrays(got: dict, want: dict) -> None:

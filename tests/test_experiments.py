@@ -1,7 +1,7 @@
 import io
 import math
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -51,6 +51,12 @@ def test_splitmix_uniform_and_integers():
     iv = SplitMix64(9).integers(1, 5, 5000)
     assert iv.min() == 1 and iv.max() == 5
     assert set(np.unique(iv)) == {1, 2, 3, 4, 5}
+    assert SplitMix64(9).integers(3, 3, 4).tolist() == [3] * 4
+
+
+def test_splitmix_integers_rejects_an_empty_range():
+    with pytest.raises(ConfigError, match="^integers needs lo <= hi, got lo=5, hi=1$"):
+        SplitMix64(1).integers(5, 1, 3)
 
 
 def test_genspec_validation():
@@ -71,9 +77,16 @@ def test_genspec_validation():
 
 
 def test_genspec_takes_a_numpy_integer_as_int():
-    spec = GenSpec(np.int64(5), 1)
-    assert type(spec.n) is int and spec == GenSpec(5, 1)
+    spec = GenSpec(np.int64(5), np.uint64(1))
+    assert type(spec.n) is int and type(spec.seed) is int and spec == GenSpec(5, 1)
     assert render_tree(gen_random_tree(spec)) == render_tree(gen_random_tree(GenSpec(5, 1)))
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, np.bool_(True), "7", None])
+def test_genspec_rejects_a_seed_that_is_not_an_integer(seed):
+    """A float seed is not truncated, nor a bool read as 0 or 1."""
+    with pytest.raises(ConfigError, match=f"^seed must be an integer, got {seed!r}$"):
+        GenSpec(5, seed)
 
 
 def test_gen_is_deterministic():
@@ -216,6 +229,16 @@ def test_pareto_is_nondominated():
         pareto_front(build_tree(1, []), "medain", 3)
 
 
+@pytest.mark.parametrize("grid", [2.5, 3.0, "3", True, None])
+def test_pareto_front_rejects_a_grid_size_that_is_not_an_integer(t6b, grid):
+    with pytest.raises(ConfigError, match=f"^grid_size must be an integer, got {grid!r}$"):
+        pareto_front(t6b, "median", grid)
+
+
+def test_pareto_front_takes_a_numpy_grid_size(t6b):
+    assert pareto_front(t6b, "median", np.int64(5)) == pareto_front(t6b, "median", 5)
+
+
 def test_validation_order():
     """pareto_front checks the grid size, then the problem; lambda_sweep
     the problem, then the method, then every lambda; all before any work
@@ -278,6 +301,16 @@ def test_allocation_report_maxian(t6b):
 def test_allocation_report_edge_out_of_range(t6b, edge):
     sol = Solution("maxian", "cubic", edge, (3, 4), (1, 6), 24.0, 0.0, 12.0)
     with pytest.raises(PreconditionError, match=f"^edge index {edge} out of range$"):
+        allocation_report(sol, t6b)
+
+
+@pytest.mark.parametrize("facilities,bad", [((0, 6), 0), ((True, 6), True),
+                                             ((1, 7), 7), ((1.0, 6), 1.0)])
+def test_allocation_report_checks_the_facility_ids(t6b, facilities, bad):
+    """Id 0 would read the last vertex's row, True vertex 1's, and 7 or
+    1.0 would fail inside numpy: each is rejected before any row is read."""
+    sol = replace(solve_balanced_2maxian_cubic(SolverConfig(0.5), t6b), facilities=facilities)
+    with pytest.raises(PreconditionError, match=f"^facility id {bad} out of range$"):
         allocation_report(sol, t6b)
 
 

@@ -301,6 +301,8 @@ def test_parse_names_a_late_line(line, value, want):
     (0, [], {}, "tree needs at least 1 vertex, got 0"),
     (np.int32(3), [(1, 2), (2, 3)], {}, None),
     (np.uint64(1), [], {}, None),
+    # a self-loop is named before a duplicate edge and a value fault
+    (4, [(1, 2), (2, 1), (3, 3)], dict(w=[nan] * 4), "self-loop edge"),
 ])
 def test_constructor_fault_precedence(n, edges, data, want):
     if want is None:
@@ -644,10 +646,10 @@ def test_intervals_nest_and_match_parent():
         assert tree.pdep[0] == 0 and tree.plen[0] == 0
         assert np.array_equal(pre[tree.tin], np.arange(n))
         assert not any(a.flags.writeable for a in (pre, tree.tin, end, tree.pdep,
-                                                   tree.plen, up, tree.low))
-        # each edge is the parent edge of its lower end, one edge per position
+                                                   tree.plen, up, tree.below, tree.a_below))
+        # each edge is the parent edge of its position below, one edge per position
         pedge = np.full(n, -1)
-        pedge[tree.tin[tree.low]] = np.arange(n - 1)
+        pedge[tree.below] = np.arange(n - 1)
         assert pedge[0] == -1 and np.all(pedge[1:] >= 0)
         size = np.ones(n, dtype=np.int64)
         below = np.eye(n, dtype=bool)      # below[i, j]: position i is on j's root path
@@ -668,6 +670,20 @@ def test_intervals_nest_and_match_parent():
         # are exactly those with i on their root path
         for i in range(n):
             assert np.array_equal(np.flatnonzero(below[i]), np.arange(i, end[i]))
+
+
+@pytest.mark.parametrize("kind", SHAPES)
+def test_a_below_marks_the_edges_whose_smaller_endpoint_is_below(kind):
+    """a_below[e] holds when eu[e] is the vertex at below[e], so that side
+    a of e's deletion is that position's subtree; on trees that take
+    either kernel."""
+    rng = random.Random(31 + len(kind))
+    for n in (2, 9, 40, 300):
+        tree = relabelled(rng, shape_tree(rng, kind, n))
+        assert tree.a_below.dtype == np.bool_
+        assert np.array_equal(tree.a_below, tree.preorder[tree.below] == tree.eu)
+        start, at = tree.below, tree.tin[tree.eu]
+        assert np.array_equal(tree.a_below, (start <= at) & (at < tree.end[start]))
 
 
 def test_preorder_follows_the_tour_rule():
@@ -766,6 +782,24 @@ def test_kernels_reject_the_same_non_trees(monkeypatch, cycle, want):
             with pytest.raises(TreeParseError) as err:
                 WeightedTree(n, eu, ev, length, np.ones(n), np.ones(n))
             assert str(err.value) == want
+
+
+def test_kernels_reject_a_self_loop(monkeypatch):
+    """A self-loop leaves n - 2 edges, which cannot connect n vertices:
+    each kernel returns None, and the constructor names the self-loop
+    whichever one ran."""
+    rng = random.Random(22)
+    for n in range(2, tree_module._WALK_MAX + 9):
+        tree = relabelled(rng, shape_tree(rng, "random", n))
+        lo, hi = tree.eu.copy(), tree.ev.copy()
+        e = rng.randrange(n - 1)
+        lo[e] = hi[e] = rng.choice((lo[e], hi[e]))
+        assert tree_module._walk_traversal(n, lo, hi, tree.length) is None
+        assert tree_module._numpy_traversal(n, lo, hi, tree.length) is None
+        for limit in (0, n):
+            monkeypatch.setattr(tree_module, "_WALK_MAX", limit)
+            with pytest.raises(TreeParseError, match="^self-loop edge$"):
+                WeightedTree(n, lo, hi, tree.length, tree.w, tree.t)
 
 
 @pytest.mark.parametrize("n", [10_000, 70_000])

@@ -16,7 +16,7 @@ from treeloc import GenSpec, gen_random_tree, parse_tree, render_tree
 from treeloc.cli import _load_tree, run
 
 # the traversal arrays and the data columns of a tree
-FIELDS = ("preorder", "tin", "end", "pdep", "plen", "up", "low",
+FIELDS = ("preorder", "tin", "end", "pdep", "plen", "up", "below", "a_below",
           "eu", "ev", "length", "w", "t")
 # every line end of str.splitlines; "\r\n" is one end
 LINE_ENDS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
